@@ -14,17 +14,23 @@ Two workloads are recorded to ``benchmarks/results/BENCH_encoder.json``:
 * ``single`` -- one request at the model's max sequence length (the
   latency path; the acceptance criterion is a >= 1.5x plan-vs-graph
   speedup here), and
-* ``ragged_batch`` -- a served-shaped ragged batch through
-  ``encode_ragged`` (exact masking, the dynamic batcher's forward).
+* ``ragged_batch`` -- served-shaped ragged batches through
+  ``encode_ragged`` (exact masking, the dynamic batcher's forward),
+  rotating through several seeded batches with different token totals,
+  as a serving stream does.
 
 Besides wall time, each point records the tracemalloc peak per call --
 the plan engine's second claim is a large cut in per-call allocation.
 The ragged workload additionally records (and *asserts*) the steady-state
-allocation counters of the workspace-aware kernel boundary: after warmup,
-repeated ragged plan calls must show zero arena misses, zero kernel
-output allocations and zero kernel-scratch reallocations, or the run
-fails -- this is the hard check ``scripts/ci.sh`` relies on (the latency
-baseline diff below stays warn-only).
+allocation counters of the workspace-aware kernel boundary: after a warmup
+pass over the rotating batches, further ragged plan calls must show zero
+arena misses, zero kernel output allocations and zero kernel-scratch
+reallocations, or the run fails -- this is the hard check
+``scripts/ci.sh`` relies on (the latency baseline diff below stays
+warn-only).  Because the token total changes from call to call, the check
+covers the plan arena's row-capacity buckets, not just one fixed shape.
+The payload records its environment: ``cpu_count``, ``native`` (the
+compiled kernel registered) and ``git_rev``.
 Before anything is timed, plan outputs are asserted bitwise equal to
 graph outputs (and the fused plan allclose), so the recorded speedups are
 guaranteed to compare equal computations.
@@ -42,6 +48,7 @@ tolerance); ``scripts/ci.sh`` invokes it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -54,7 +61,7 @@ import numpy as np
 
 if __package__ in (None, ""):  # executed as a plain script
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from benchmarks.bench_utils import RESULTS_DIR
+from benchmarks.bench_utils import RESULTS_DIR, git_revision
 
 #: Warn when the measured plan speedup falls below this fraction of the
 #: recorded baseline.
@@ -62,6 +69,9 @@ BASELINE_TOLERANCE = 0.5
 
 #: Acceptance target: plan-vs-graph speedup on the single-request workload.
 TARGET_SPEEDUP = 1.5
+
+#: Seeded ragged batches the ragged workload rotates through.
+RAGGED_BATCHES = 4
 
 
 def build_model(model_name: str = "tiny-base", seed: int = 0):
@@ -87,6 +97,22 @@ def ragged_batch(model, batch: int = 8, seed: int = 0) -> list:
                                           size=int(n))] for n in lengths]
 
 
+def ragged_batches(model, count: int = RAGGED_BATCHES,
+                   seed: int = 0) -> list:
+    """``count`` seeded ragged batches with pairwise different token
+    totals (so a rotation changes the packed row count on every call)."""
+    batches, totals = [], set()
+    candidate = seed
+    while len(batches) < count:
+        batch = ragged_batch(model, seed=candidate)
+        total = sum(len(seq) for seq in batch)
+        if total not in totals:
+            totals.add(total)
+            batches.append(batch)
+        candidate += 1
+    return batches
+
+
 def check_equivalence(model) -> None:
     """Plan outputs must be bitwise equal to graph outputs before timing."""
     ids = single_request(model)
@@ -98,35 +124,42 @@ def check_equivalence(model) -> None:
     fused = model.encode(ids, engine="plan", fuse_qkv=True)
     if not np.allclose(graph, fused, rtol=1e-10, atol=1e-12):
         raise AssertionError("fused-QKV plan diverged beyond tolerance")
-    sequences = ragged_batch(model)
-    for got, expected in zip(model.encode_ragged(sequences, engine="plan"),
-                             model.encode_ragged(sequences, engine="graph")):
-        if not np.array_equal(got, expected):
-            raise AssertionError("plan engine diverged bitwise from the "
-                                 "graph engine on the ragged workload")
+    for sequences in ragged_batches(model):
+        for got, expected in zip(
+                model.encode_ragged(sequences, engine="plan"),
+                model.encode_ragged(sequences, engine="graph")):
+            if not np.array_equal(got, expected):
+                raise AssertionError("plan engine diverged bitwise from "
+                                     "the graph engine on the ragged "
+                                     "workload")
 
 
-def measure_ragged_steady_state(model, sequences, iterations: int = 20,
-                                warmup: int = 3) -> dict:
+def measure_ragged_steady_state(model, batches, iterations: int = 20,
+                                warmup: int = 2) -> dict:
     """Allocation counters over steady-state ragged plan serving.
 
-    After ``warmup`` calls populate the arena and the kernel workspace,
-    ``iterations`` further calls must not miss the arena, allocate a
-    kernel output, or regrow the kernel scratch -- the workspace-aware
-    kernel boundary's contract.
+    After ``warmup`` passes over ``batches`` populate the arena and the
+    kernel workspace, ``iterations`` further calls -- rotating through the
+    batches, so the token total changes per call -- must not miss the
+    arena, allocate a kernel output, or regrow the kernel scratch: the
+    workspace-aware kernel boundary's contract.
     """
     from repro.kernels import output_allocation_count
 
     plan = model.inference_plan()
     for _ in range(warmup):
-        model.encode_ragged(sequences, engine="plan")
+        for sequences in batches:
+            model.encode_ragged(sequences, engine="plan")
     arena_misses = plan.arena.misses
     kernel_allocs = output_allocation_count()
     scratch_reallocs = plan.scratch.reallocs
+    rotation = itertools.cycle(batches)
     for _ in range(iterations):
-        model.encode_ragged(sequences, engine="plan")
+        model.encode_ragged(next(rotation), engine="plan")
     return {
         "iterations": iterations,
+        "token_totals": [sum(len(seq) for seq in sequences)
+                         for sequences in batches],
         "arena_misses": plan.arena.misses - arena_misses,
         "kernel_output_allocations":
             output_allocation_count() - kernel_allocs,
@@ -199,22 +232,32 @@ def run_benchmark(model_name: str, number: int, repeat: int,
     single["workload"] = (f"1 request x seq {model.config.max_seq_len}, "
                           f"{model.config.name}, adaptive Softermax kernel")
 
-    sequences = ragged_batch(model, seed=seed)
+    batches = ragged_batches(model, seed=seed)
+    graph_rotation = itertools.cycle(batches)
+    plan_rotation = itertools.cycle(batches)
     ragged = measure_workload(model, {
-        "graph": lambda: model.encode_ragged(sequences, engine="graph"),
-        "plan": lambda: model.encode_ragged(sequences, engine="plan"),
+        "graph": lambda: model.encode_ragged(next(graph_rotation),
+                                             engine="graph"),
+        "plan": lambda: model.encode_ragged(next(plan_rotation),
+                                            engine="plan"),
     }, max(1, number // 2), repeat)
-    ragged["workload"] = (f"{len(sequences)} ragged requests of 8-16 "
-                          "tokens via encode_ragged (exact masking)")
+    ragged["workload"] = (
+        f"{len(batches[0])} ragged requests of 8-16 tokens via "
+        f"encode_ragged (exact masking), rotating over {len(batches)} "
+        "seeded batches with different token totals")
 
-    steady = measure_ragged_steady_state(model, sequences)
+    steady = measure_ragged_steady_state(model, batches)
     assert_zero_steady_state_allocations(steady)
+
+    from repro.kernels import native_available
 
     plan = model.inference_plan()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "native": native_available(),
+        "git_rev": git_revision(),
         "model": model_name,
         "timing": {"number": number, "repeat": repeat},
         "single": single,
@@ -271,7 +314,8 @@ def main(argv=None) -> int:
         for name, speedup in block["speedup_vs_graph"].items():
             print(f"  {name:>10}: {speedup:5.2f}x vs graph")
     steady = payload["ragged_steady_state"]
-    print(f"ragged steady state ({steady['iterations']} iterations): "
+    print(f"ragged steady state ({steady['iterations']} iterations over "
+          f"token totals {steady['token_totals']}): "
           f"{steady['arena_misses']} arena misses, "
           f"{steady['kernel_output_allocations']} kernel output "
           f"allocations, {steady['kernel_scratch_reallocs']} scratch "

@@ -9,10 +9,28 @@ can be compared against the paper after the run (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import os
+import subprocess
 from pathlib import Path
 
 #: Directory where regenerated tables/figures are written.
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def git_revision() -> str:
+    """``HEAD`` of the checkout holding this harness -- suffixed
+    ``-dirty`` when the working tree has uncommitted changes -- or
+    ``"unavailable"`` (no git, or not a checkout of its own)."""
+    root = Path(__file__).resolve().parent.parent
+    if not (root / ".git").exists():
+        return "unavailable"
+    try:
+        rev = subprocess.run(["git", "describe", "--always", "--dirty",
+                              "--abbrev=40"], cwd=root,
+                             capture_output=True, text=True, timeout=10,
+                             check=False)
+    except OSError:
+        return "unavailable"
+    return rev.stdout.strip() if rev.returncode == 0 else "unavailable"
 
 
 def write_result(name: str, content: str) -> Path:

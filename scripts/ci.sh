@@ -65,3 +65,11 @@ python -m repro.cli loadtest --chaos --quick --workers 2 --requests 64 \
 
 echo "== serving benchmark smoke (warn-only baseline diff) =="
 python -m benchmarks.bench_serving --quick
+
+echo "== perfbench trace smoke (hard fail: a bitwise mismatch exits 1, a"
+echo "   plan op the tracer cannot classify crashes, kernel calls leaving"
+echo "   softermax-native exit 3) =="
+for workload in short-burst long-closed; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 \
+        --trace 1
+done

@@ -9,11 +9,13 @@ the autograd machinery of the encoder forward itself.
   frozen fake-quantizers pre-applied, optionally a fused Q/K/V projection
   GEMM) and execute it with zero Tensor/backward-closure overhead.  The
   default plan is **bit-transparent**: it replays the exact float64 op
-  sequence of the Tensor path.
+  sequence of the Tensor path.  Ragged batches run padding-free, as
+  length-sorted packed token rows (:meth:`InferencePlan.run_ragged`).
 * :mod:`repro.infer.arena` -- :class:`WorkspaceArena`: shape-keyed,
-  reusable scratch buffers threaded through the ``*_infer`` functional
-  variants via ``out=``, so steady-state serving does no per-request
-  large intermediate allocations.
+  reusable scratch buffers (row-capacity buckets for packed registers)
+  threaded through the ``*_infer`` functional variants via ``out=``, so
+  steady-state serving does no per-request large intermediate
+  allocations.
 
 Select the engine per call (``BertEncoderModel.encode(...,
 engine="plan")``) or per service (:class:`repro.serving.ServiceConfig`

@@ -16,6 +16,13 @@ integer buffers (int16 gather indices, uint16 unnormalized codes, ...)
 from the same arena, so one byte budget and one set of hit/miss counters
 covers the whole inference working set.
 
+Packed plan registers have a leading *row* dimension that changes with
+every batch (the token total of a ragged batch).  :meth:`acquire_rows`
+serves them from row-capacity buckets -- the leading dimension rounded up
+to a power of two -- and hands out a row-prefix view, so a stream of
+batches with different token totals keeps hitting a handful of pooled
+shapes instead of missing on each new total.
+
 Two release flavors:
 
 * :meth:`release` -- the buffer is dead now; it goes straight back to the
@@ -46,10 +53,15 @@ PoolKey = Tuple[Shape, np.dtype]
 
 #: Default cap on pooled (free) bytes.  Steady-state serving of one shape
 #: family stays far below this; the cap only bites when a long-lived
-#: service sees many distinct (batch, padded-length) shapes, in which case
-#: the least-recently-used shapes' buffers are dropped instead of growing
-#: the pool without bound.
+#: service sees many distinct row-capacity buckets and attention shapes, in
+#: which case the least-recently-used shapes' buffers are dropped instead of
+#: growing the pool without bound.
 DEFAULT_MAX_FREE_BYTES = 64 * 1024 * 1024
+
+
+def row_capacity(rows: int) -> int:
+    """Pooled leading dimension for ``rows`` rows: the next power of two."""
+    return 1 << max(rows - 1, 0).bit_length()
 
 
 class WorkspaceArena:
@@ -113,8 +125,25 @@ class WorkspaceArena:
         self.allocated_bytes += buffer.nbytes
         return buffer
 
+    def acquire_rows(self, shape, dtype=np.float64) -> np.ndarray:
+        """A ``shape`` buffer carved from a row-capacity bucket.
+
+        The pooled buffer's leading dimension is :func:`row_capacity` of
+        ``shape[0]``; the caller gets the C-contiguous row-prefix view.
+        Release the view itself: :meth:`release` pools its base.
+        """
+        rows = shape[0]
+        bucket = (row_capacity(rows),) + tuple(shape[1:])
+        return self.acquire(bucket, dtype)[:rows]
+
     def release(self, buffer: np.ndarray) -> None:
-        """Return a previously acquired buffer to the free pool."""
+        """Return a previously acquired buffer to the free pool.
+
+        A row-prefix view from :meth:`acquire_rows` returns its whole
+        bucket buffer.
+        """
+        if buffer.base is not None:
+            buffer = buffer.base
         if self.max_free_bytes == 0:
             # No pool to park it in: drop on the spot, touching neither
             # the byte count nor the recency map (a zero-budget arena must

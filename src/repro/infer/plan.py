@@ -16,6 +16,12 @@ and allocates fresh float64 temporaries per op, per layer, per call.
   :class:`~repro.infer.arena.WorkspaceArena` and release dead registers
   immediately, so steady-state serving reuses the same scratch buffers
   across layers and across calls.
+* **Padding-free ragged batches** -- :meth:`InferencePlan.run_ragged`
+  stable-sorts the sequences by length and feeds the ops one ``(tokens,
+  hidden)`` matrix with no pad rows, each length group a contiguous block
+  of rows.  Per-token ops (LayerNorm, linear, GELU, residuals) work on any
+  leading shape; the attention core stages each group with one copy per
+  operand (:func:`repro.nn.functional.packed_attention`).
 * **Bit-transparent by construction** -- the default plan replays the
   exact float64 NumPy call sequence of the Tensor path (see the
   ``*_infer`` variants in :mod:`repro.nn.functional`), so plan outputs are
@@ -34,7 +40,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -45,6 +52,38 @@ from repro.nn import functional as F
 #: Reserved register names for runtime inputs.
 INPUT_IDS = "input_ids"
 INPUT_HIDDEN = "hidden_in"
+#: Reserved register holding a packed execution's per-token position ids.
+INPUT_POSITIONS = "positions_in"
+
+#: Fewest rows of a packed token matrix built from sequences.  One row
+#: would route the per-token GEMMs through BLAS's single-row (gemv) path,
+#: whose accumulation differs from the gemm path taken at any other row
+#: count -- breaking bitwise transparency between a solo length-1 request
+#: and the same request inside a batch.  Extra rows are pad rows.
+MIN_PACKED_ROWS = 2
+
+
+def pack_lengths(lengths: Sequence[int]) -> Tuple[list, tuple, list]:
+    """Packed layout of sequences with the given token counts.
+
+    Sequences are stable-sorted by length, so each length group is one
+    contiguous block of rows.  Returns ``(order, groups, offsets)``: the
+    sorted sequence indices, each group's ``(start_row, count, length)``,
+    and each sequence's first row (in input order).
+    """
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    groups: list = []
+    offsets = [0] * len(lengths)
+    row = 0
+    for index in order:
+        length = lengths[index]
+        if groups and groups[-1][2] == length:
+            groups[-1][1] += 1
+        else:
+            groups.append([row, 1, length])
+        offsets[index] = row
+        row += length
+    return order, tuple(tuple(group) for group in groups), offsets
 
 
 @dataclass(frozen=True)
@@ -59,17 +98,24 @@ class ExecutionContext:
     """Mutable state of one plan execution: registers + buffer ownership.
 
     ``regs`` maps register names to arrays.  ``owned`` marks registers
-    whose buffers were acquired from the arena (runtime inputs and views
-    are not owned and are never released to the pool).  ``mask`` and
-    ``lengths`` carry the per-call attention mask; a non-``None``
-    ``lengths`` switches attention cores to the exact-mask path.
+    whose buffers were acquired from the arena (caller inputs and views
+    are not owned and are never released to the pool).  Two layouts:
+
+    * padded -- ``(batch, seq, ...)`` registers; ``mask`` is the optional
+      additive attention mask and ``positions`` the broadcast position ids;
+    * packed -- ``(rows, ...)`` registers of length-sorted tokens; ``groups``
+      holds each length group's ``(start_row, count, length)`` (attention
+      cores switch to exact masking on it) and ``positions`` each row's
+      position id.
+
     ``scratch`` is the plan's kernel workspace
     (:class:`~repro.kernels.workspace.KernelWorkspace`): attention ops
     pass it to the softmax kernels so their internal temporaries ride the
     same arena as the register file.
     """
 
-    __slots__ = ("regs", "arena", "owned", "mask", "lengths", "scratch")
+    __slots__ = ("regs", "arena", "owned", "mask", "groups", "positions",
+                 "scratch")
 
     def __init__(self, arena: WorkspaceArena,
                  scratch: Optional[KernelWorkspace] = None) -> None:
@@ -77,12 +123,17 @@ class ExecutionContext:
         self.arena = arena
         self.owned: Set[str] = set()
         self.mask: Optional[np.ndarray] = None
-        self.lengths: Optional[np.ndarray] = None
+        self.groups: Optional[tuple] = None
+        self.positions: Optional[np.ndarray] = None
         self.scratch = scratch
 
-    def acquire(self, shape) -> np.ndarray:
-        """Arena buffer for an op output (mark owned via :meth:`put`)."""
-        return self.arena.acquire(shape)
+    def acquire(self, shape, dtype=np.float64) -> np.ndarray:
+        """Arena buffer for an op output (mark owned via :meth:`put`).
+
+        Drawn from a row-capacity bucket, so packed registers whose row
+        count changes per batch still reuse pooled buffers.
+        """
+        return self.arena.acquire_rows(shape, dtype)
 
     def put(self, reg: str, buffer: np.ndarray, owned: bool = True) -> None:
         """Bind ``reg`` to ``buffer``; owned buffers return to the arena."""
@@ -159,6 +210,9 @@ class InferencePlan:
         # set of counters covers registers and kernel temporaries alike.
         self.scratch = KernelWorkspace(arena=self.arena)
         self.calls = 0
+        # Position ids of a packed ids execution index this table; BERT
+        # always records max_seq_len and longer sequences are rejected.
+        self._positions = np.arange(int(self.meta.get("max_seq_len", 0)))
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -208,38 +262,160 @@ class InferencePlan:
         Bitwise identical to the graph engine's
         ``model.eval(); model.forward(inputs, attention_mask).data``.
         Returns a caller-owned ``(batch, seq, hidden)`` float64 array.
+        A ``block_kv`` plan runs packed, every sequence full length.
         """
         regs, batch_seq = self._prepare_inputs(inputs)
-        if attention_mask is not None and self.block_kv is not None:
-            raise ValueError(
-                "this plan was compiled with block_kv (chunked exact-mask "
-                "attention) and cannot honor an additive mask; use "
-                "run_ragged with a right-padded prefix mask, or no mask")
+        if self.block_kv is not None:
+            if attention_mask is not None:
+                raise ValueError(
+                    "this plan was compiled with block_kv (chunked "
+                    "exact-mask attention) and cannot honor an additive "
+                    "mask; use run_ragged with a right-padded prefix mask, "
+                    "or no mask")
+            batch, seq_len = batch_seq
+            return self._run_padded(regs, np.repeat(seq_len, batch),
+                                    extract=None, detach=True)
         mask = (None if attention_mask is None
                 else self._validate_mask(attention_mask, batch_seq))
-        return self._execute(regs, mask=mask, lengths=None,
-                             detach_output=True)
 
-    def run_ragged(self, inputs, attention_mask, extract=None):
-        """Eval-mode forward with *exact* masking (right-padded batches).
+        def bind(ctx: ExecutionContext) -> None:
+            ctx.regs.update(regs)
+            ctx.mask = mask
+            ctx.positions = np.broadcast_to(np.arange(batch_seq[1]),
+                                            batch_seq)
 
-        Padded keys get exactly zero attention probability, so each
-        sequence's rows are bitwise identical to running it alone.
+        return self._execute(bind, lambda output: (output, output),
+                             detach=True)
+
+    def run_ragged(self, inputs, attention_mask=None, extract=None):
+        """Eval-mode forward with *exact* masking on packed token rows.
+
+        Two input forms:
+
+        * ``attention_mask=None`` -- ``inputs`` is a sequence of
+          variable-length sequences (token ids for an ids plan,
+          ``(length, hidden)`` arrays for a hidden-state plan).  The
+          result is the list of per-sequence ``(length, hidden)`` outputs
+          in input order.
+        * a right-padded 0/1 prefix ``attention_mask`` -- ``inputs`` is the
+          padded ``(batch, seq)`` ids / ``(batch, seq, hidden)`` array and
+          the result the padded ``(batch, seq, hidden)`` output.  The pad
+          positions run as one extra block of rows after the sequences and
+          get zero attention context, so every cell -- pad cells included
+          -- is what the graph engine's exact-mask forward computes.
+
+        Either way the sequences are stable-sorted by length and the ops
+        see one ``(rows, hidden)`` matrix with no pad rows between
+        sequences, each length group a contiguous block.  Padded keys get
+        exactly zero attention probability, so each sequence's rows are
+        bitwise identical to running it alone.
 
         ``extract`` is the safe way to consume the result: it is called on
-        the output buffer *inside* the execution lock (copy out what you
-        keep -- :meth:`~repro.models.bert.BertEncoderModel.encode_ragged`
-        slices per-sequence copies) and its return value is returned;
-        the buffer then goes straight back to the arena.  Without
-        ``extract`` the raw arena buffer is returned and stays valid only
-        until the next execution -- safe for a single-threaded caller,
-        racy if the plan is shared across threads.
+        it *inside* the execution lock (copy out what you keep --
+        :meth:`~repro.models.bert.BertEncoderModel.encode_ragged` copies
+        each sequence) and its return value is returned; the backing
+        buffer then goes straight back to the arena.  Without ``extract``
+        the result views an arena buffer that stays valid only until the
+        next execution -- safe for a single-threaded caller, racy if the
+        plan is shared across threads.
         """
+        if attention_mask is None:
+            return self._run_sequences(inputs, extract)
         regs, batch_seq = self._prepare_inputs(inputs)
         mask = self._validate_mask(attention_mask, batch_seq)
-        lengths = F.prefix_mask_lengths(mask)
-        return self._execute(regs, mask=mask, lengths=lengths,
-                             detach_output=False, extract=extract)
+        return self._run_padded(regs, F.prefix_mask_lengths(mask),
+                                extract=extract)
+
+    def _run_sequences(self, sequences, extract):
+        """Pack variable-length sequences (the serving hot path)."""
+        lengths = [len(seq) for seq in sequences]
+        if not lengths:
+            return [] if extract is None else extract([])
+        if min(lengths) < 1:
+            raise ValueError("every sequence must contain at least one token")
+        order, groups, offsets = pack_lengths(lengths)
+        tokens = sum(lengths)
+        rows = max(tokens, MIN_PACKED_ROWS)
+        if self.input_kind == "ids":
+            self._check_seq_len(max(lengths))
+        else:
+            hidden_dim = np.shape(sequences[0])[-1]
+
+        def bind(ctx: ExecutionContext) -> None:
+            ctx.groups = groups
+            if self.input_kind == "hidden":
+                hidden = ctx.acquire((rows, hidden_dim))
+                for index in order:
+                    start = offsets[index]
+                    np.copyto(hidden[start:start + lengths[index]],
+                              sequences[index])
+                hidden[tokens:] = hidden[0]
+                ctx.put(INPUT_HIDDEN, hidden)
+                return
+            ids = ctx.acquire((rows,), np.int64)
+            ctx.put(INPUT_IDS, ids)
+            ids[:tokens] = list(chain.from_iterable(
+                sequences[index] for index in order))
+            # Pad rows (the MIN_PACKED_ROWS floor) repeat the first token;
+            # fill them before the vocab check, which must not see what the
+            # pooled buffer held before.
+            ids[tokens:] = ids[0]
+            self._check_vocab(ids)
+            positions = ctx.acquire((rows,), np.int64)
+            ctx.put(INPUT_POSITIONS, positions)
+            for start, count, length in groups:
+                positions[start:start + count * length].reshape(
+                    count, length)[:] = self._positions[:length]
+            positions[tokens:] = positions[0]
+            ctx.positions = positions
+
+        def finish(output: np.ndarray):
+            return ([output[offset:offset + length]
+                     for offset, length in zip(offsets, lengths)], output)
+
+        return self._execute(bind, finish, extract=extract)
+
+    def _run_padded(self, regs: Dict[str, np.ndarray], lengths: np.ndarray,
+                    extract=None, detach: bool = False):
+        """Pack a right-padded batch (``regs`` from :meth:`_prepare_inputs`):
+        the sequences' valid cells in length order, then every pad cell as
+        one trailing block; the output is scattered back to the padded
+        shape."""
+        ((input_reg, padded_in),) = regs.items()
+        batch, seq_len = padded_in.shape[:2]
+        order, groups, _ = pack_lengths(lengths.tolist())
+        valid = np.arange(seq_len) < lengths[:, None]
+        cells = np.arange(batch * seq_len).reshape(batch, seq_len)
+        # The padded-array entry (encode with a mask), not the serving
+        # path; the permutation is O(cells) int bookkeeping.
+        # repro: allow(R1): one int permutation per padded call
+        perm = np.concatenate((cells[order][valid[order]], cells[~valid]))
+        flat_in = padded_in.reshape((perm.size,) + padded_in.shape[2:])
+
+        def bind(ctx: ExecutionContext) -> None:
+            ctx.groups = groups
+            packed = ctx.acquire(flat_in.shape, flat_in.dtype)
+            np.take(flat_in, perm, axis=0, out=packed)
+            ctx.put(input_reg, packed)
+            if self.input_kind == "ids":
+                positions = ctx.acquire(perm.shape, np.int64)
+                np.remainder(perm, seq_len, out=positions)
+                ctx.put(INPUT_POSITIONS, positions)
+                ctx.positions = positions
+
+        def finish(output: np.ndarray):
+            padded = self.arena.acquire_rows(
+                (batch, seq_len) + output.shape[1:])
+            padded.reshape(output.shape)[perm] = output
+            return padded, padded
+
+        return self._execute(bind, finish, extract=extract, detach=detach)
+
+    def _check_vocab(self, ids: np.ndarray) -> None:
+        vocab_size = self.meta.get("vocab_size")
+        if vocab_size is not None and (ids.min(initial=0) < 0
+                                       or ids.max(initial=0) >= vocab_size):
+            raise IndexError("embedding id out of range")
 
     def _prepare_inputs(self, inputs) -> Tuple[Dict[str, np.ndarray], tuple]:
         if self.input_kind == "ids":
@@ -247,22 +423,21 @@ class InferencePlan:
             if ids.ndim != 2:
                 raise ValueError(
                     f"expected (batch, seq) token ids, got shape {ids.shape}")
-            max_seq_len = self.meta.get("max_seq_len")
-            if max_seq_len is not None and ids.shape[1] > max_seq_len:
-                raise ValueError(
-                    f"sequence length {ids.shape[1]} exceeds max_seq_len "
-                    f"{max_seq_len}")
-            vocab_size = self.meta.get("vocab_size")
-            if vocab_size is not None and (
-                    ids.min(initial=0) < 0
-                    or ids.max(initial=0) >= vocab_size):
-                raise IndexError("embedding id out of range")
+            self._check_seq_len(ids.shape[1])
+            self._check_vocab(ids)
             return {INPUT_IDS: ids}, ids.shape
         hidden = np.asarray(inputs, dtype=np.float64)
         if hidden.ndim != 3:
             raise ValueError(
                 f"expected (batch, seq, hidden) states, got {hidden.shape}")
         return {INPUT_HIDDEN: hidden}, hidden.shape[:2]
+
+    def _check_seq_len(self, seq_len: int) -> None:
+        max_seq_len = self.meta.get("max_seq_len")
+        if max_seq_len is not None and seq_len > max_seq_len:
+            raise ValueError(
+                f"sequence length {seq_len} exceeds max_seq_len "
+                f"{max_seq_len}")
 
     @staticmethod
     def _validate_mask(attention_mask, batch_seq: tuple) -> np.ndarray:
@@ -273,37 +448,48 @@ class InferencePlan:
                 f"(batch, seq)={tuple(batch_seq)}")
         return mask
 
-    def _execute(self, regs: Dict[str, np.ndarray],
-                 mask: Optional[np.ndarray],
-                 lengths: Optional[np.ndarray],
-                 detach_output: bool, extract=None) -> np.ndarray:
+    def _execute(self, bind, finish, extract=None, detach: bool = False):
+        """Run the ops under the execution lock.
+
+        ``bind(ctx)`` loads the inputs into a fresh context;
+        ``finish(output)`` turns the output register into ``(result,
+        backing)``, the arena buffer the result lives in.  ``extract``
+        consumes the result before the backing buffer is recycled;
+        ``detach`` hands it to the caller for good; otherwise it is
+        recycled at the start of the next execution.
+        """
         with self._lock:
             self.arena.begin_call()
             ctx = ExecutionContext(self.arena, scratch=self.scratch)
-            ctx.regs.update(regs)
-            ctx.mask = mask
-            ctx.lengths = lengths
-            for op in self.ops:
-                op.fn(ctx)
-            output = ctx.regs.pop(self.output_reg)
-            output_owned = self.output_reg in ctx.owned
-            ctx.owned.discard(self.output_reg)
-            # Balanced plans leave nothing behind; sweep defensively so a
-            # hook that forgot a release cannot grow the working set.
-            for reg in list(ctx.regs):
-                ctx.pop_release(reg)
+            try:
+                bind(ctx)
+                for op in self.ops:
+                    op.fn(ctx)
+                output = ctx.regs.pop(self.output_reg)
+                owned = self.output_reg in ctx.owned
+                ctx.owned.discard(self.output_reg)
+            finally:
+                # Balanced plans leave only their inputs behind; sweep so
+                # neither those nor a hook's forgotten release can grow
+                # the working set (or leak on an error).
+                for reg in list(ctx.regs):
+                    ctx.pop_release(reg)
             self.calls += 1
-            if extract is not None:
-                # Consume the output while still holding the lock (the
-                # caller's copies happen here), then recycle it at once.
-                result = extract(output)
-                if output_owned:
+            result, backing = finish(output)
+            if backing is not output:
+                if owned:
                     self.arena.release(output)
-                return result
-            if output_owned and not detach_output:
+                owned = True
+            if extract is not None:
+                # Consume the result while still holding the lock (the
+                # caller's copies happen here), then recycle it at once.
+                result = extract(result)
+                if owned:
+                    self.arena.release(backing)
+            elif owned and not detach:
                 # Caller reads (and copies) before the next execution.
-                self.arena.release_deferred(output)
-            return output
+                self.arena.release_deferred(backing)
+            return result
 
     # ------------------------------------------------------------------ #
     # introspection

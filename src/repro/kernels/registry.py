@@ -51,6 +51,7 @@ import inspect
 import os
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -291,12 +292,23 @@ def dispatch_candidates() -> List[str]:
             and name != AUTO_KERNEL]
 
 
+@lru_cache(maxsize=None)
+def host_cores() -> int:
+    """The host's core count, read once per process.
+
+    The adaptive dispatcher consults it on every softmax call, where
+    ``os.cpu_count()`` costs microseconds; ``host_cores.cache_clear()``
+    re-reads it (tests that pin ``os.cpu_count`` do).
+    """
+    return os.cpu_count() or 1
+
+
 def auto_kernel_choice(rows: int, length: int,
                        workers: Optional[int] = None,
                        native: Optional[bool] = None) -> str:
     """Kernel the adaptive dispatcher picks for a ``rows x length`` call.
 
-    ``workers`` is the worker budget (``None`` means ``os.cpu_count()``).
+    ``workers`` is the worker budget (``None`` means :func:`host_cores`).
     On a single-core host the parallel engine is never picked -- even with
     an explicit multi-worker budget -- because a process pool with nowhere
     to run is pure overhead (measured 0.8x on the 1-core CI box).
@@ -309,11 +321,11 @@ def auto_kernel_choice(rows: int, length: int,
     seq 512 and streams row-by-row in O(row) scratch, beating the blocked
     kernel ~2x on the huge-tensor shapes it was built for.
     """
-    host_cores = os.cpu_count() or 1
-    workers = host_cores if workers is None else int(workers)
+    cores = host_cores()
+    workers = cores if workers is None else int(workers)
     elements = rows * length
     if (elements >= AUTO_PARALLEL_MIN_ELEMENTS and workers > 1 and rows > 1
-            and host_cores > 1):
+            and cores > 1):
         return "softermax-parallel"
     if native is None:
         native = "softermax-native" in _KERNELS
@@ -336,8 +348,17 @@ class AdaptiveSoftermaxKernel:
         self.workers = workers
         self.block_rows = block_rows
         self.lpw_method = lpw_method
+        # Child kernels by engine name, resolved once: the cached factories
+        # would re-hash the config on every call.
+        self._children: Dict[str, Callable] = {}
 
     def _kernel_for(self, name: str):
+        kernel = self._children.get(name)
+        if kernel is None:
+            kernel = self._children[name] = self._resolve(name)
+        return kernel
+
+    def _resolve(self, name: str):
         if name == "softermax-parallel":
             return get_parallel_kernel(self.config, self.workers,
                                        self.block_rows, self.lpw_method)

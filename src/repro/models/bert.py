@@ -168,14 +168,13 @@ class BertEncoderModel(Module):
         embed_reg = builder.reg("embeddings")
 
         def embed_op(ctx) -> None:
+            # Padded (batch, seq) or packed (rows,) ids; the context
+            # carries the matching position id of every token.
             ids = ctx.regs[ids_reg]
-            batch, seq_len = ids.shape
-            tokens = ctx.acquire((batch, seq_len, hidden_dim))
+            tokens = ctx.acquire(ids.shape + (hidden_dim,))
             embedding_infer(token_weight, ids, out=tokens)
-            positions = ctx.acquire((batch, seq_len, hidden_dim))
-            position_ids = np.broadcast_to(np.arange(seq_len),
-                                           (batch, seq_len))
-            embedding_infer(position_weight, position_ids, out=positions)
+            positions = ctx.acquire(ids.shape + (hidden_dim,))
+            embedding_infer(position_weight, ctx.positions, out=positions)
             np.add(tokens, positions, out=tokens)
             ctx.arena.release(positions)
             ctx.put(embed_reg, tokens)
@@ -265,22 +264,24 @@ class BertEncoderModel(Module):
                       block_kv: Optional[int] = None) -> list:
         """Encode a batch of variable-length token sequences in one pass.
 
-        The serving entry point: sequences are padded to the longest length
-        in the batch, run through the encoder as a single batched forward
-        with *exact* attention masking (padded keys carry exactly zero
-        probability, each sequence's softmax runs over only its valid
-        prefix), and the per-sequence hidden states are sliced back out.
+        The serving entry point: the batch runs through the encoder as a
+        single forward with *exact* attention masking (each sequence's
+        softmax runs over only its own tokens), and the per-sequence
+        hidden states come back out.
 
         Because every per-token operation is row-independent and the exact
-        mask excludes padding from the attention reduction, the returned
-        hidden states are **bitwise identical** to encoding each sequence
-        alone -- coalescing requests into a batch is a pure throughput
-        optimization.  Requires eval mode (the autograd-free masked
-        attention path).
+        mask keeps other sequences and padding out of the attention
+        reduction, the returned hidden states are **bitwise identical** to
+        encoding each sequence alone -- coalescing requests into a batch is
+        a pure throughput optimization.  Requires eval mode (the
+        autograd-free masked attention path).
 
         ``engine`` selects the forward implementation: ``"graph"`` (the
-        autograd Tensor path) or ``"plan"`` (the compiled graph-free fast
-        path, bitwise identical; the serving layer defaults to it).
+        autograd Tensor path, which pads the batch to its longest
+        sequence -- ``pad_id`` fills the tail) or ``"plan"`` (the compiled
+        graph-free fast path, bitwise identical, which packs the tokens
+        without padding -- see :meth:`repro.infer.InferencePlan.
+        run_ragged`; the serving layer defaults to it).
 
         ``block_kv`` opts into chunked O(block)-memory attention for long
         sequences.  Chunked length groups follow the documented tolerance
@@ -299,6 +300,14 @@ class BertEncoderModel(Module):
             raise ValueError(
                 f"unknown inference engine {engine!r}; choose 'graph' or "
                 "'plan'")
+        if engine == "plan":
+            # run_ragged applies ``copies`` to the per-sequence views of
+            # its arena output while still holding the plan's execution
+            # lock, so the copies can never race a concurrent execution
+            # recycling the buffer.
+            return self.inference_plan(
+                fuse_qkv=fuse_qkv, block_kv=block_kv).run_ragged(
+                sequences, extract=_copies)
         if len(sequences) == 0:
             return []
         lengths = [len(seq) for seq in sequences]
@@ -312,7 +321,8 @@ class BertEncoderModel(Module):
         # GEMMs through BLAS's single-row (gemv) path, whose accumulation
         # differs from the gemm path used at any other width -- which would
         # break bitwise transparency between a solo length-1 request and the
-        # same request inside a wider batch.
+        # same request inside a wider batch (the plan keeps the same floor,
+        # see repro.infer.plan.MIN_PACKED_ROWS).
         max_len = max(2, *lengths)
         batch = len(sequences)
         input_ids = np.full((batch, max_len), pad_id, dtype=np.int64)
@@ -320,19 +330,10 @@ class BertEncoderModel(Module):
         for i, seq in enumerate(sequences):
             input_ids[i, :lengths[i]] = np.asarray(seq, dtype=np.int64)
             mask[i, :lengths[i]] = 1.0
-        def slices(hidden: np.ndarray) -> list:
-            return [np.array(hidden[i, :length]) for i, length in
-                    enumerate(lengths)]
-
-        if engine == "plan":
-            # run_ragged applies ``slices`` to the arena output buffer
-            # while still holding the plan's execution lock, so the copies
-            # can never race a concurrent execution recycling the buffer.
-            return self.inference_plan(
-                fuse_qkv=fuse_qkv, block_kv=block_kv).run_ragged(
-                input_ids, mask, extract=slices)
-        return slices(self.forward(input_ids, mask, exact_mask=True,
-                                   block_kv=block_kv).data)
+        hidden = self.forward(input_ids, mask, exact_mask=True,
+                              block_kv=block_kv).data
+        return [np.array(hidden[i, :length])
+                for i, length in enumerate(lengths)]
 
     def _on_state_loaded(self) -> None:
         """Invalidate compiled plans after any state-dict load (fires even
@@ -346,6 +347,11 @@ class BertEncoderModel(Module):
         self.encoder.set_softmax_variant(variant, kernel=kernel,
                                         kernel_options=kernel_options)
         self._plans.clear()
+
+
+def _copies(views: list) -> list:
+    """Caller-owned copies of per-sequence output views."""
+    return [np.array(view) for view in views]
 
 
 class ClassificationHead(Module):

@@ -213,7 +213,7 @@ class MultiHeadSelfAttention(Module):
                 self.softmax_variant, block_kv)
         return F.exact_masked_attention(
             q, k, v, lengths, 1.0 / np.sqrt(self.head_dim),
-            self.softmax_variant.forward_fn)
+            F.softmax_forward_with_out(self.softmax_variant))
 
     # ------------------------------------------------------------------ #
     # plan export (graph-free inference)
@@ -224,11 +224,13 @@ class MultiHeadSelfAttention(Module):
         """Emit this attention block's ops onto ``builder``.
 
         The emitted ops replay the eval-mode forward bit for bit: Q/K/V
-        projections, head split (views), the attention core (additive-mask
-        scores + pluggable softmax, or the exact-mask length-grouped path
-        when the execution context carries ``lengths``), head merge, and
-        the output projection.  The softmax variant's forward function and
-        all weights are snapshotted at export time.
+        projections, the attention core with the head merge folded in, and
+        the output projection.  The core runs one of two layouts: packed
+        token rows with exact masking when the execution context carries
+        length ``groups`` (:func:`repro.nn.functional.packed_attention`),
+        or padded ``(batch, seq, hidden)`` registers with additive-mask
+        scores otherwise.  The softmax variant's forward function and all
+        weights are snapshotted at export time.
 
         ``fuse_qkv`` replaces the three projection GEMMs with one GEMM
         against the column-concatenated ``[Wq | Wk | Wv]`` weight.  The
@@ -237,13 +239,12 @@ class MultiHeadSelfAttention(Module):
         is opt-in; quantized projections cannot be fused (each projection
         carries its own input-quantizer scale).
 
-        ``block_kv`` compiles the attention core to the chunked O(block)
-        exact-mask path (:func:`repro.nn.functional.
-        chunked_masked_attention`): with ``lengths`` on the execution
-        context it chunks each length group, without lengths or mask it
-        attends over the full sequence; block buffers are staged on the
-        plan's arena-backed workspace.  Additive masks are rejected at the
-        plan level (see :meth:`repro.infer.plan.InferencePlan.run`).
+        ``block_kv`` sends packed length groups longer than ``block_kv``
+        through the chunked O(block) core of :func:`repro.nn.functional.
+        chunked_masked_attention`; block buffers are staged on the plan's
+        arena-backed workspace.  Such plans always execute packed (see
+        :meth:`repro.infer.plan.InferencePlan.run`, which rejects additive
+        masks for them).
 
         Tolerance: fuse_qkv trades bitwise equality for one wide GEMM
         (BLAS blocking order; pinned by tests/infer/test_plan.py);
@@ -283,17 +284,16 @@ class MultiHeadSelfAttention(Module):
 
             def project_op(ctx) -> None:
                 x = ctx.regs[x_reg]
-                batch, seq_len, _ = x.shape
-                qkv = ctx.acquire((batch, seq_len, 3 * hidden_dim))
+                qkv = ctx.acquire(x.shape[:-1] + (3 * hidden_dim,))
                 F.linear_infer(x, fused_weight, fused_bias, out=qkv)
                 ctx.put(qkv_reg, qkv)
 
-            def heads_of(ctx):
+            def operands(ctx):
+                # Column slices of [Q | K | V]: (..., hidden) views.
                 qkv = ctx.regs[qkv_reg]
-                batch, seq_len, _ = qkv.shape
-                by_proj = qkv.reshape(batch, seq_len, 3, heads, head_dim)
-                return tuple(by_proj[:, :, i].transpose(0, 2, 1, 3)
-                             for i in range(3))
+                return (qkv[..., :hidden_dim],
+                        qkv[..., hidden_dim:2 * hidden_dim],
+                        qkv[..., 2 * hidden_dim:])
 
             builder.emit(f"{prefix}.qkv_fused", project_op)
         else:
@@ -302,35 +302,25 @@ class MultiHeadSelfAttention(Module):
             v_reg = self.value.export_plan(builder, x_reg, f"{prefix}.value")
             core_in = (q_reg, k_reg, v_reg)
 
-            def heads_of(ctx):
-                return (split(ctx.regs[q_reg]), split(ctx.regs[k_reg]),
-                        split(ctx.regs[v_reg]))
+            def operands(ctx):
+                return ctx.regs[q_reg], ctx.regs[k_reg], ctx.regs[v_reg]
 
-        context_reg = builder.reg(f"{prefix}.context")
+        merged_reg = builder.reg(f"{prefix}.merged")
 
         def core_op(ctx) -> None:
-            q, k, v = heads_of(ctx)
-            batch, _, seq_len, _ = q.shape
-            context = ctx.acquire((batch, heads, seq_len, head_dim))
-            # A chunked plan takes the blocked path whenever exact masking
-            # applies: ragged runs carry ``lengths`` (run_ragged sets the
-            # prefix mask alongside them), unmasked runs synthesize full
-            # lengths.  Additive masks never reach here -- ``run`` rejects
-            # them on block_kv plans.
-            if block_kv is not None and (ctx.lengths is not None
-                                         or ctx.mask is None):
-                lengths = ctx.lengths
-                if lengths is None:
-                    lengths = np.full(batch, seq_len, dtype=np.int64)
-                F.chunked_masked_attention(q, k, v, lengths, scale, variant,
-                                           block_kv, out=context,
-                                           arena=ctx.arena,
-                                           scratch=ctx.scratch)
-            elif ctx.lengths is not None:
-                F.exact_masked_attention(q, k, v, ctx.lengths, scale,
-                                         softmax_forward, out=context,
-                                         arena=ctx.arena, scratch=ctx.scratch)
+            q, k, v = operands(ctx)
+            merged = ctx.acquire(q.shape)
+            if ctx.groups is not None:
+                # Packed rows, exact masking: one staging copy per length
+                # group, context written straight into the merged layout.
+                F.packed_attention(q, k, v, ctx.groups, heads, scale,
+                                   softmax_forward, variant, block_kv,
+                                   out=merged, scratch=ctx.scratch)
             else:
+                # Padded (batch, seq, hidden) registers: the graph path's
+                # full-batch scores with an optional additive mask.
+                q, k, v = split(q), split(k), split(v)
+                batch, _, seq_len, _ = q.shape
                 scores = ctx.acquire((batch, heads, seq_len, seq_len))
                 np.matmul(q, k.swapaxes(-1, -2), out=scores)
                 np.multiply(scores, scale, out=scores)
@@ -344,27 +334,18 @@ class MultiHeadSelfAttention(Module):
                 probs = ctx.acquire(scores.shape)
                 softmax_forward(scores, out=probs, scratch=ctx.scratch)
                 ctx.arena.release(scores)
+                context = ctx.acquire((batch, heads, seq_len, head_dim))
                 np.matmul(probs, v, out=context)
                 ctx.arena.release(probs)
-            ctx.put(context_reg, context)
+                np.copyto(merged.reshape(batch, seq_len, heads, head_dim),
+                          context.transpose(0, 2, 1, 3))
+                ctx.arena.release(context)
+            ctx.put(merged_reg, merged)
             for reg in core_in:
                 ctx.pop_release(reg)
 
         builder.emit(f"{prefix}.core", core_op)
-
-        merged_reg = builder.reg(f"{prefix}.merge")
-
-        def merge_op(ctx) -> None:
-            context = ctx.regs[context_reg]
-            batch, _, seq_len, _ = context.shape
-            merged = ctx.acquire((batch, seq_len, hidden_dim))
-            np.copyto(merged.reshape(batch, seq_len, heads, head_dim),
-                      context.transpose(0, 2, 1, 3))
-            ctx.put(merged_reg, merged)
-            ctx.pop_release(context_reg)
-
-        builder.emit(f"{prefix}.merge", merge_op)
         out_reg = self.output.export_plan(builder, merged_reg,
                                           f"{prefix}.output")
-        builder.emit_release(f"{prefix}.merge.free", merged_reg)
+        builder.emit_release(f"{prefix}.merged.free", merged_reg)
         return out_reg

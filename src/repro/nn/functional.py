@@ -186,99 +186,196 @@ def embedding_infer(weight: np.ndarray, ids: np.ndarray,
     return np.take(weight, np.asarray(ids, dtype=np.int64), axis=0, out=out)
 
 
+# --------------------------------------------------------------------------- #
+# exact-mask attention: one per-group core, two layouts
+# --------------------------------------------------------------------------- #
+# Exact masking groups sequences by valid length and runs each group's
+# attention over its ``[:length]`` slices only, with one kernel call per
+# group.  The per-group math (QK^T, scale, softmax, PV -- or the chunked
+# online-merge recurrence) exists once, in :func:`_attend_groups`; the two
+# layouts differ only in how a group's Q/K/V reach the contiguous
+# ``(count, heads, length, head_dim)`` staging buffers and how its context
+# goes back:
+#
+# * padded (:func:`exact_masked_attention`, the graph engine): ``(batch,
+#   heads, seq, head_dim)`` tensors, one copy per sequence;
+# * packed (:func:`packed_attention`, the plan engine): ``(tokens, hidden)``
+#   row matrices whose length groups are contiguous row blocks, one copy
+#   per group, context written straight into the merged layout.
+#
+# Staged bytes and per-group GEMM shapes are the same in both, so each
+# sequence's output is bitwise identical whichever layout -- and whichever
+# batch -- carried it.
+
+def _take(scratch, key: str, shape) -> np.ndarray:
+    """A staging buffer: the workspace's when given, else a fresh one."""
+    if scratch is None:
+        return np.empty(shape, dtype=np.float64)
+    return scratch.take_shaped(key, shape)
+
+
+def _dense_group_context(qb, kb, vb, scale, softmax_forward,
+                         scratch) -> np.ndarray:
+    """Dense attention of one staged group; returns the context, written
+    over ``qb`` (its data is consumed by the score GEMM)."""
+    count, heads, length, _ = qb.shape
+    scores = _take(scratch, "attn.scores", (count, heads, length, length))
+    np.matmul(qb, kb.swapaxes(-1, -2), out=scores)
+    np.multiply(scores, scale, out=scores)
+    probs = _take(scratch, "attn.probs", scores.shape)
+    softmax_forward(scores, out=probs, scratch=scratch)
+    np.matmul(probs, vb, out=qb)
+    return qb
+
+
+_DENSE_KEYS = ("attn.qb", "attn.kb", "attn.vb")
+_CHUNK_KEYS = ("chunk.qb", "chunk.kb", "chunk.vb")
+
+
+def _attend_groups(groups, gather, scatter, heads, head_dim, scale,
+                   softmax_forward, variant, block_kv, scratch) -> None:
+    """Run every length group through the shared per-group core.
+
+    ``groups`` yields ``(handle, count, length)``; ``gather(handle,
+    length, qb, kb, vb)`` fills the staging buffers and ``scatter(handle,
+    length, qs, ctx)`` stores the context of query rows ``qs:qs + ctx.
+    shape[2]``.  Groups longer than ``block_kv`` take the chunked core.
+
+    Tolerance: bitwise for block_kv=None and groups <= block_kv; longer
+    groups inherit chunked_masked_attention's merge contract.
+    """
+    for handle, count, length in groups:
+        chunked = block_kv is not None and length > block_kv
+        shape = (count, heads, length, head_dim)
+        qb, kb, vb = [_take(scratch, key, shape)
+                      for key in (_CHUNK_KEYS if chunked else _DENSE_KEYS)]
+        gather(handle, length, qb, kb, vb)
+        if chunked:
+            _chunked_group_context(
+                qb, kb, vb, scale, variant, block_kv, scratch,
+                lambda qs, ctx: scatter(handle, length, qs, ctx))
+        else:
+            scatter(handle, length, 0, _dense_group_context(
+                qb, kb, vb, scale, softmax_forward, scratch))
+
+
 def exact_masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                            lengths: np.ndarray, scale: float,
-                           softmax_forward: Callable[[np.ndarray], np.ndarray],
+                           softmax_forward: Callable[..., np.ndarray],
                            out: Optional[np.ndarray] = None,
-                           arena=None, scratch=None) -> np.ndarray:
+                           scratch=None) -> np.ndarray:
     """Length-grouped attention with padded keys excluded exactly.
 
-    Sequences are grouped by valid length; each group's scores, softmax and
-    context are computed on the ``[:length]`` slices only, in one kernel
-    call per group.  Per-sequence results are therefore bitwise identical
-    to running that sequence alone (rows are independent in every
-    bit-accurate kernel, and the per-(batch, head) GEMM operands have
-    identical shapes either way).  Padded positions come back as exact
-    zeros.
+    ``q``/``k``/``v`` are padded ``(batch, heads, seq, head_dim)`` tensors
+    and ``lengths`` each sequence's valid prefix.  Sequences are grouped
+    by valid length; each group's scores, softmax and context are computed
+    on the ``[:length]`` slices only, in one kernel call per group.
+    Per-sequence results are therefore bitwise identical to running that
+    sequence alone (rows are independent in every bit-accurate kernel, and
+    the per-(batch, head) GEMM operands have identical shapes either way)
+    and to the plan engine's :func:`packed_attention`.  Padded positions
+    come back as exact zeros.
 
-    Shared by the graph path (:class:`~repro.nn.attention.
-    MultiHeadSelfAttention`) and the plan engine; ``out`` may be an arena
-    buffer (it is zero-filled here).
+    ``softmax_forward`` follows the workspace-aware contract ``fn(scores,
+    out=, scratch=)`` (see :func:`softmax_forward_with_out`).  ``out`` may
+    be a caller buffer (it is zero-filled here); with a ``scratch``
+    workspace every per-group temporary is staged on it, otherwise they
+    are ordinary allocations.
+    """
+    return _padded_attention(q, k, v, lengths, scale, softmax_forward,
+                             None, None, out, scratch)
 
-    ``arena``/``scratch`` switch the helper to its allocation-free mode,
-    used by the plan executor: every per-group temporary -- the gathered
-    Q/K/V slices, the score matrix, and crucially the softmax *output* --
-    lives in the caller's :class:`~repro.kernels.workspace.KernelWorkspace`
-    (itself arena-backed in the plan), and the kernel is invoked through
-    the workspace-aware contract (``out=`` pointing at the staged buffer,
-    ``scratch=`` forwarding the same workspace).  Callers passing
-    ``arena``/``scratch`` must pass an out-capable ``softmax_forward``
-    (see :func:`softmax_forward_with_out`).  Without them the per-group
-    temporaries are ordinary allocations and ``softmax_forward`` is called
-    with scores only, so plain graph-path variants keep working.
+
+def _padded_attention(q, k, v, lengths, scale, softmax_forward, variant,
+                      block_kv, out, scratch) -> np.ndarray:
+    """Gather/scatter of the padded layout around :func:`_attend_groups`.
+
+    Tolerance: bitwise for block_kv=None and groups <= block_kv; longer
+    groups inherit chunked_masked_attention's merge contract.
     """
     if out is None:
         out = np.zeros_like(v)
     else:
         out.fill(0.0)
-    transient = None
-    if scratch is None and arena is not None:
-        # Arena without a workspace: wrap it so the group staging below
-        # still draws from (and is accounted to) the caller's pool; the
-        # transient wrapper returns its buffers on the way out.
-        from repro.kernels.workspace import KernelWorkspace
 
-        scratch = transient = KernelWorkspace(arena=arena)
-    try:
-        return _exact_masked_attention_groups(q, k, v, lengths, scale,
-                                              softmax_forward, out, scratch)
-    finally:
-        if transient is not None:
-            transient.clear()
+    def gather(idx, length, qb, kb, vb) -> None:
+        for j, b in enumerate(idx):
+            np.copyto(qb[j], q[b, :, :length, :])
+            np.copyto(kb[j], k[b, :, :length, :])
+            np.copyto(vb[j], v[b, :, :length, :])
 
+    def scatter(idx, length, qs, ctx) -> None:
+        qe = qs + ctx.shape[2]
+        for j, b in enumerate(idx):
+            np.copyto(out[b, :, qs:qe, :], ctx[j])
 
-def _exact_masked_attention_groups(q, k, v, lengths, scale, softmax_forward,
-                                   out, scratch) -> np.ndarray:
+    groups = []
     for length in np.unique(lengths):
         idx = np.nonzero(lengths == length)[0]
-        _attend_group_dense(q, k, v, idx, int(length), scale,
-                            softmax_forward, out, scratch)
+        groups.append((idx, len(idx), int(length)))
+    _attend_groups(groups, gather, scatter, q.shape[1], q.shape[-1], scale,
+                   softmax_forward, variant, block_kv, scratch)
     return out
 
 
-def _attend_group_dense(q, k, v, idx, length, scale, softmax_forward,
-                        out, scratch) -> None:
-    """Dense attention over one length group (full scores/probs matrices)."""
-    heads, head_dim = q.shape[1], q.shape[-1]
-    if scratch is None:
-        qb = np.ascontiguousarray(q[idx][:, :, :length, :])
-        kb = np.ascontiguousarray(k[idx][:, :, :length, :])
-        vb = np.ascontiguousarray(v[idx][:, :, :length, :])
-        scores = (qb @ kb.swapaxes(-1, -2)) * scale
-        probs = softmax_forward(scores)
-        ctx = probs @ vb
-        for j, b in enumerate(idx):
-            out[b, :, :length, :] = ctx[j]
-        return
-    group = (len(idx), heads, length, head_dim)
-    qb = scratch.take_shaped("attn.qb", group)
-    kb = scratch.take_shaped("attn.kb", group)
-    vb = scratch.take_shaped("attn.vb", group)
-    for j, b in enumerate(idx):
-        np.copyto(qb[j], q[b, :, :length, :])
-        np.copyto(kb[j], k[b, :, :length, :])
-        np.copyto(vb[j], v[b, :, :length, :])
-    scores = scratch.take_shaped("attn.scores",
-                                 (len(idx), heads, length, length))
-    np.matmul(qb, kb.swapaxes(-1, -2), out=scores)
-    np.multiply(scores, scale, out=scores)
-    probs = scratch.take_shaped("attn.probs", scores.shape)
-    softmax_forward(scores, out=probs, scratch=scratch)
-    # qb's data is consumed; its buffer doubles as the context target.
-    ctx = qb
-    np.matmul(probs, vb, out=ctx)
-    for j, b in enumerate(idx):
-        np.copyto(out[b, :, :length, :], ctx[j])
+def packed_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     groups, heads: int, scale: float,
+                     softmax_forward: Callable[..., np.ndarray],
+                     variant: Optional["SoftmaxVariant"] = None,
+                     block_kv: Optional[int] = None,
+                     out: Optional[np.ndarray] = None,
+                     scratch=None) -> np.ndarray:
+    """Exact-mask attention over packed token rows (the plan's layout).
+
+    ``q``/``k``/``v`` are ``(tokens, hidden)`` row matrices -- any row
+    stride, e.g. column slices of a fused QKV projection.  ``groups``
+    lists ``(start, count, length)`` blocks: ``count`` sequences of
+    ``length`` tokens each, one after another from row ``start``.  Each
+    group's operands are staged with one copy apiece, run through the
+    same per-group core as :func:`exact_masked_attention` (one softmax
+    call per group), and its context is written straight into ``out``'s
+    merged ``(tokens, hidden)`` layout.  Rows after the last group are pad
+    rows: they get exact zeros, as padded positions do.
+
+    ``block_kv`` sends groups longer than it through the chunked core of
+    :func:`chunked_masked_attention` (``variant`` supplies the streaming
+    recurrence).
+
+    Tolerance: bitwise vs exact_masked_attention for block_kv=None and
+    groups <= block_kv; longer groups inherit chunked_masked_attention's
+    merge contract.
+    """
+    if block_kv is not None:
+        _check_chunkable(variant, block_kv)
+    rows, hidden = q.shape
+    head_dim = hidden // heads
+    if out is None:
+        out = np.empty((rows, hidden), dtype=np.float64)
+    covered = 0
+    if groups:
+        start, count, length = groups[-1]
+        covered = start + count * length
+    out[covered:].fill(0.0)
+
+    def blocks(x, start, count, length) -> np.ndarray:
+        # (rows, hidden) -> (count, length, heads, head_dim), a view.
+        return x[start:start + count * length].reshape(
+            count, length, heads, head_dim)
+
+    def gather(start, length, qb, kb, vb) -> None:
+        count = qb.shape[0]
+        np.copyto(qb, blocks(q, start, count, length).transpose(0, 2, 1, 3))
+        np.copyto(kb, blocks(k, start, count, length).transpose(0, 2, 1, 3))
+        np.copyto(vb, blocks(v, start, count, length).transpose(0, 2, 1, 3))
+
+    def scatter(start, length, qs, ctx) -> None:
+        count, _, width, _ = ctx.shape
+        np.copyto(blocks(out, start, count, length)[:, qs:qs + width],
+                  ctx.transpose(0, 2, 1, 3))
+
+    _attend_groups(groups, gather, scatter, heads, head_dim, scale,
+                   softmax_forward, variant, block_kv, scratch)
+    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -409,7 +506,7 @@ def chunked_masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                              lengths: np.ndarray, scale: float,
                              variant: "SoftmaxVariant", block_kv: int,
                              out: Optional[np.ndarray] = None,
-                             arena=None, scratch=None) -> np.ndarray:
+                             scratch=None) -> np.ndarray:
     """Length-grouped attention in O(block) peak memory.
 
     Same contract and masking semantics as :func:`exact_masked_attention`,
@@ -445,9 +542,11 @@ def chunked_masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     Variants without a declared ``chunk_kind`` (custom registrations) are
     rejected: their forward is a black box with no streaming recurrence.
 
-    ``out``/``arena``/``scratch`` follow the PR 5 allocation-free contract:
-    block buffers are staged on the caller's workspace (arena-backed in the
-    plan executor), so steady-state executions allocate nothing.
+    ``out``/``scratch`` follow the allocation-free contract of
+    :func:`exact_masked_attention`: with a workspace, block buffers are
+    staged on it, so steady-state executions allocate nothing.  The plan
+    engine runs the same chunked core on packed rows
+    (:func:`packed_attention` with ``block_kv``).
 
     Tolerance: bitwise vs exact_masked_attention for groups <= block_kv;
     longer groups: float variants within CHUNKED_MERGE_RTOL /
@@ -455,74 +554,44 @@ def chunked_masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     * sqrt(L) * max|V| per context element (pinned by
     tests/nn/test_chunked_attention.py).
     """
-    block_kv = int(block_kv)
-    if block_kv < 1:
+    _check_chunkable(variant, block_kv)
+    return _padded_attention(q, k, v, lengths, scale,
+                             softmax_forward_with_out(variant), variant,
+                             int(block_kv), out, scratch)
+
+
+def _check_chunkable(variant: "SoftmaxVariant", block_kv: int) -> None:
+    """Reject block sizes and variants the chunked core cannot run.
+
+    Tolerance: validation only; chunked groups follow
+    chunked_masked_attention's merge contract.
+    """
+    if int(block_kv) < 1:
         raise ValueError(f"block_kv must be >= 1, got {block_kv}")
     if getattr(variant, "chunk_kind", None) is None:
         raise ValueError(
-            f"softmax variant {variant.name!r} does not define a chunked "
-            "(online-merge) recurrence; chunked attention supports the "
-            "float reference variants and Softermax variants built by "
-            "make_softermax_variant")
-    if out is None:
-        out = np.zeros_like(v)
-    else:
-        out.fill(0.0)
-    softmax_fwd = softmax_forward_with_out(variant)
-    transient = None
-    if scratch is None and arena is not None:
-        from repro.kernels.workspace import KernelWorkspace
-
-        scratch = transient = KernelWorkspace(arena=arena)
-    try:
-        for length in np.unique(lengths):
-            idx = np.nonzero(lengths == length)[0]
-            length = int(length)
-            if length <= block_kv:
-                # Single-block groups degenerate to the dense path: bitwise
-                # identical to exact_masked_attention by construction.
-                _attend_group_dense(q, k, v, idx, length, scale,
-                                    softmax_fwd, out, scratch)
-            else:
-                _attend_group_chunked(q, k, v, idx, length, scale, variant,
-                                      block_kv, out, scratch)
-        return out
-    finally:
-        if transient is not None:
-            transient.clear()
+            f"softmax variant {getattr(variant, 'name', variant)!r} does "
+            "not define a chunked (online-merge) recurrence; chunked "
+            "attention supports the float reference variants and Softermax "
+            "variants built by make_softermax_variant")
 
 
-def _attend_group_chunked(q, k, v, idx, length, scale, variant, block,
-                          out, scratch) -> None:
-    """Blocked attention over one length group (O(block**2) temporaries)."""
-    heads, head_dim = q.shape[1], q.shape[-1]
-    g = len(idx)
-
-    def take(key, shape):
-        if scratch is None:
-            return np.empty(shape, dtype=np.float64)
-        return scratch.take_shaped(key, shape)
-
-    # Staged contiguous group slices (linear in the sequence length --
-    # the same staging the dense path does).
-    qb = take("chunk.qb", (g, heads, length, head_dim))
-    kb = take("chunk.kb", (g, heads, length, head_dim))
-    vb = take("chunk.vb", (g, heads, length, head_dim))
-    for j, b in enumerate(idx):
-        np.copyto(qb[j], q[b, :, :length, :])
-        np.copyto(kb[j], k[b, :, :length, :])
-        np.copyto(vb[j], v[b, :, :length, :])
+def _chunked_group_context(qb, kb, vb, scale, variant, block, scratch,
+                           emit) -> None:
+    """Blocked attention of one staged group (O(block**2) temporaries);
+    ``emit(qs, ctx)`` receives each query block's finished context."""
+    count, heads, length, head_dim = qb.shape
     eff_scale = _chunk_scale(variant, scale)
     for qs in range(0, length, block):
         qe = min(qs + block, length)
         qw = qe - qs
-        rule = _chunk_rule(variant, (g, heads, qw), scratch)
-        ctx = take("chunk.ctx", (g, heads, qw, head_dim))
+        rule = _chunk_rule(variant, (count, heads, qw), scratch)
+        ctx = _take(scratch, "chunk.ctx", (count, heads, qw, head_dim))
         qview = qb[:, :, qs:qe, :]
         for ks in range(0, length, block):
             ke = min(ks + block, length)
             kw = ke - ks
-            scores = take("chunk.scores", (g, heads, qw, kw))
+            scores = _take(scratch, "chunk.scores", (count, heads, qw, kw))
             np.matmul(qview, kb[:, :, ks:ke, :].swapaxes(-1, -2), out=scores)
             np.multiply(scores, eff_scale, out=scores)
             weights, ctx_shift = rule.feed(scores)
@@ -531,12 +600,11 @@ def _attend_group_chunked(q, k, v, idx, length, scale, variant, block,
                 continue
             if ctx_shift is not None:
                 np.multiply(ctx, ctx_shift[..., None], out=ctx)
-            part = take("chunk.part", (g, heads, qw, head_dim))
+            part = _take(scratch, "chunk.part", (count, heads, qw, head_dim))
             np.matmul(weights, vb[:, :, ks:ke, :], out=part)
             np.add(ctx, part, out=ctx)
         rule.finalize_(ctx)
-        for j, b in enumerate(idx):
-            np.copyto(out[b, :, qs:qe, :], ctx[j])
+        emit(qs, ctx)
 
 
 # --------------------------------------------------------------------------- #

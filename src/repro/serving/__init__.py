@@ -7,7 +7,7 @@ paper targets (transformer inference at datacenter request rates):
 * :mod:`repro.serving.batcher` -- the dynamic micro-batcher: a bounded
   request queue plus ``max_batch_size`` / ``max_wait_ms`` coalescing.
 * :mod:`repro.serving.service` -- :class:`InferenceService`: accepts
-  per-request token sequences, coalesces them into padded batches, runs
+  per-request token sequences, coalesces them into batches, runs
   them through the BERT encoder / adaptive Softermax kernel as one
   forward, and returns per-request results.
 * :mod:`repro.serving.cache` -- the LRU response cache.

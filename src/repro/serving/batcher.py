@@ -1,7 +1,7 @@
 """Dynamic micro-batching: a bounded request queue with time/size coalescing.
 
 The batcher is the heart of the serving layer's throughput win: requests
-arriving within a short window are coalesced into one padded batch so the
+arriving within a short window are coalesced into one batch so the
 encoder (and the adaptive Softermax kernel under it) amortizes per-call
 overhead over many requests.  Policy:
 

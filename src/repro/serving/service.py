@@ -4,8 +4,9 @@
 sequences from any thread; a single worker thread pulls coalesced
 micro-batches from the :class:`~repro.serving.batcher.MicroBatcher`, runs
 them through the encoder's ragged-batch entry point
-(:meth:`~repro.models.bert.BertEncoderModel.encode_ragged` -- padding,
-exact attention masking, one adaptive-Softermax forward per batch) and
+(:meth:`~repro.models.bert.BertEncoderModel.encode_ragged` -- packed
+token rows, exact attention masking, one adaptive-Softermax forward per
+batch) and
 completes each request with its own slice of the result.
 
 Correctness properties the test suite pins:

@@ -76,6 +76,162 @@ def test_plan_ragged_bitwise_equals_graph_and_solo(model, rng):
         assert np.array_equal(solo, expected)
 
 
+# --------------------------------------------------------------------------- #
+# packed ragged layout: length-sorted token rows, no padding
+# --------------------------------------------------------------------------- #
+def _ragged(rng, lengths):
+    return [list(rng.integers(1, VOCAB, size=int(n))) for n in lengths]
+
+
+def assert_packed_bitwise(model, sequences, **engine):
+    """Plan (packed) == graph (padded) == solo plan, bit for bit."""
+    plan = model.encode_ragged(sequences, engine="plan", **engine)
+    graph = model.encode_ragged(sequences, engine="graph", **engine)
+    assert len(plan) == len(sequences)
+    for seq, got, expected in zip(sequences, plan, graph):
+        assert got.shape == (len(seq), model.config.hidden_dim)
+        assert np.array_equal(got, expected)
+        solo = model.encode_ragged([seq], engine="plan", **engine)[0]
+        assert np.array_equal(got, solo)
+    return plan
+
+
+def test_pack_lengths_sorts_stably_into_contiguous_groups():
+    from repro.infer.plan import pack_lengths
+
+    order, groups, offsets = pack_lengths([3, 1, 3, 2, 1])
+    assert order == [1, 4, 3, 0, 2]
+    # (start_row, count, length): one block per distinct length.
+    assert groups == ((0, 2, 1), (2, 1, 2), (4, 2, 3))
+    assert offsets == [4, 0, 7, 2, 1]
+
+
+@pytest.mark.parametrize("lengths", [
+    (5, 5, 5, 5),                        # one length group
+    (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),  # every length distinct
+    (9, 3, 14, 3, 9, 16, 1, 9),           # mixed groups, unsorted input
+])
+def test_packed_groups_bitwise_equal_graph_and_solo(model, rng, lengths):
+    assert_packed_bitwise(model, _ragged(rng, lengths))
+
+
+def test_packed_shuffled_batch_gives_identical_outputs(model, rng):
+    sequences = _ragged(rng, (4, 12, 7, 12, 2, 7, 16, 4))
+    baseline = model.encode_ragged(sequences, engine="plan")
+    order = rng.permutation(len(sequences))
+    shuffled = model.encode_ragged([sequences[i] for i in order],
+                                   engine="plan")
+    for position, index in enumerate(order):
+        assert np.array_equal(shuffled[position], baseline[index])
+
+
+def test_packed_solo_length_one_keeps_the_two_row_floor(model, rng):
+    """A solo one-token request packs to one real row plus a pad row, so
+    its token GEMMs take the same (gemm) path as inside a batch."""
+    from repro.infer.plan import MIN_PACKED_ROWS
+
+    assert MIN_PACKED_ROWS == 2
+    single = [int(rng.integers(1, VOCAB))]
+    solo = model.encode_ragged([single], engine="plan")[0]
+    batch = [single] + _ragged(rng, (6, 1, 11))
+    assert np.array_equal(solo, model.encode_ragged(batch, engine="plan")[0])
+    assert np.array_equal(solo,
+                          model.encode_ragged([single], engine="graph")[0])
+
+
+def test_packed_pad_row_ignores_stale_pooled_ids(rng):
+    """The pad row's id comes from the request, not from the pooled
+    buffer: an out-of-range leftover must not fail a valid request."""
+    model = make_model()
+    plan = model.inference_plan()
+    for _ in range(2):   # the ids and positions registers
+        plan.arena.release(np.full(2, 10**9, dtype=np.int64))
+    single = [int(rng.integers(1, VOCAB))]
+    served = model.encode_ragged([single], engine="plan")[0]
+    assert np.array_equal(served,
+                          model.encode_ragged([single], engine="graph")[0])
+
+
+@pytest.mark.parametrize("block", [4, 8])
+def test_packed_block_kv_groups_above_and_below_block(model, rng, block):
+    # Groups of length 3 and block stay dense; 9, 13 and 16 are chunked.
+    sequences = _ragged(rng, (13, 3, block, 16, 9, 3, 13))
+    assert_packed_bitwise(model, sequences, block_kv=block)
+
+
+def test_packed_fuse_qkv_within_tolerance(model, rng):
+    sequences = _ragged(rng, (8, 3, 15, 8, 1))
+    fused = model.encode_ragged(sequences, engine="plan", fuse_qkv=True)
+    graph = model.encode_ragged(sequences, engine="graph")
+    for seq, got, expected in zip(sequences, fused, graph):
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+        # Fused or not, batching stays bit-transparent.
+        solo = model.encode_ragged([seq], engine="plan", fuse_qkv=True)[0]
+        assert np.array_equal(got, solo)
+
+
+def test_packed_hidden_state_plan(rng):
+    """A TransformerEncoder plan packs (length, hidden) arrays."""
+    encoder = TransformerEncoder(num_layers=2, hidden_dim=16, num_heads=2,
+                                 intermediate_dim=32, dropout=0.0,
+                                 softmax_variant="softermax", seed=3).eval()
+    plan = InferencePlan.from_model(encoder)
+    sequences = [rng.normal(size=(n, 16)) for n in (5, 2, 9, 5, 1)]
+    packed = plan.run_ragged(sequences, extract=lambda views: [
+        np.array(view) for view in views])
+    width = max(len(seq) for seq in sequences)
+    padded = np.zeros((len(sequences), width, 16))
+    mask = np.zeros((len(sequences), width))
+    for i, seq in enumerate(sequences):
+        padded[i, :len(seq)] = seq
+        mask[i, :len(seq)] = 1.0
+    graph = encoder(Tensor(padded), mask, exact_mask=True).data
+    for i, seq in enumerate(sequences):
+        assert np.array_equal(packed[i], graph[i, :len(seq)])
+        solo = plan.run_ragged([seq], extract=lambda views: np.array(
+            views[0]))
+        assert np.array_equal(packed[i], solo)
+
+
+def test_packed_padded_entry_matches_graph_including_pad_cells(model, rng):
+    """run_ragged with a prefix mask runs the pad cells as a trailing
+    block with zero attention context: every padded cell matches."""
+    ids = rng.integers(0, VOCAB, size=(4, 10))
+    mask = np.zeros(ids.shape)
+    for row, length in enumerate((10, 3, 7, 3)):
+        mask[row, :length] = 1.0
+    plan = model.inference_plan().run_ragged(ids, mask, extract=np.array)
+    graph = model.forward(ids, mask, exact_mask=True).data
+    assert np.array_equal(plan, graph)
+
+
+def test_packed_arena_has_no_misses_across_token_totals(model):
+    """Row-capacity buckets: once warm, batches with token totals never
+    seen before reuse the pooled buffers instead of allocating."""
+    from repro.infer.arena import row_capacity
+
+    rng = np.random.default_rng(7)
+    warm = [_ragged(rng, rng.integers(8, 17, size=32)) for _ in range(4)]
+    # Trimmed copies: new totals, and no length group larger than in the
+    # warm batch they come from (so the kernel workspace need not grow).
+    fresh = [batch[:-cut] for batch in warm for cut in (1, 2, 3)]
+    warm_totals = {sum(map(len, batch)) for batch in warm}
+    fresh_totals = {sum(map(len, batch)) for batch in fresh}
+    assert fresh_totals - warm_totals
+    assert ({row_capacity(total) for total in fresh_totals}
+            <= {row_capacity(total) for total in warm_totals})
+    plan = model.inference_plan()
+    for batch in warm:
+        model.encode_ragged(batch, engine="plan")
+    misses = plan.arena.misses
+    outputs = [model.encode_ragged(batch, engine="plan") for batch in fresh]
+    assert plan.arena.misses == misses
+    for batch, served in zip(fresh, outputs):
+        for seq, got in zip(batch[:3], served):
+            assert np.array_equal(
+                got, model.encode_ragged([seq], engine="graph")[0])
+
+
 def test_encoder_only_plan_takes_hidden_states(rng):
     encoder = TransformerEncoder(num_layers=2, hidden_dim=16, num_heads=2,
                                  intermediate_dim=32, dropout=0.0,

@@ -235,11 +235,11 @@ class TestResolve:
 
 
 class TestAdaptiveDispatch:
-    def test_choice_thresholds(self, monkeypatch):
+    def test_choice_thresholds(self, pin_cpu_count):
         # Pin a multicore host so the thresholds (not the single-core
         # gate) are what is under test here; native=False pins the legacy
         # fused/blocked split, native=True the compiled replacement.
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        pin_cpu_count(4)
         assert auto_kernel_choice(8, 512, workers=1, native=False) \
             == "softermax-fused"
         assert auto_kernel_choice(8, 512, workers=1, native=True) \
@@ -261,34 +261,35 @@ class TestAdaptiveDispatch:
         assert auto_kernel_choice(1, AUTO_PARALLEL_MIN_ELEMENTS, workers=4,
                                   native=False) == "softermax-blocked"
 
-    def test_choice_defaults_to_registered_availability(self, monkeypatch):
+    def test_choice_defaults_to_registered_availability(self,
+                                                       pin_cpu_count):
         """native=None (the adaptive kernel's call) means "if registered"."""
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        pin_cpu_count(1)
         expected = "softermax-native" if NATIVE else "softermax-fused"
         assert auto_kernel_choice(8, 512, workers=1) == expected
 
-    def test_single_core_host_never_picks_the_pool(self, monkeypatch):
+    def test_single_core_host_never_picks_the_pool(self, pin_cpu_count):
         """On a 1-core box the pool is pure overhead (the ROADMAP-noted
         0.8x regression): auto skips parallel even with an explicit
         multi-worker budget and falls to the in-process engines."""
         huge_rows = AUTO_PARALLEL_MIN_ELEMENTS // 512
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        pin_cpu_count(1)
         assert auto_kernel_choice(huge_rows, 512, workers=4, native=False) \
             == "softermax-blocked"
         assert auto_kernel_choice(huge_rows, 512, native=False) \
             == "softermax-blocked"
         # cpu_count() may report None (unknown): treated as single core.
-        monkeypatch.setattr("os.cpu_count", lambda: None)
+        pin_cpu_count(None)
         assert auto_kernel_choice(huge_rows, 512, workers=4, native=False) \
             == "softermax-blocked"
         # Back on a multicore host the same call fans out again.
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        pin_cpu_count(2)
         assert auto_kernel_choice(huge_rows, 512, workers=4, native=False) \
             == "softermax-parallel"
 
     def test_single_core_gate_applies_to_the_adaptive_kernel(
-            self, monkeypatch, paper_config):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
+            self, pin_cpu_count, paper_config):
+        pin_cpu_count(1)
         kernel = AdaptiveSoftermaxKernel(paper_config, workers=4)
         rows = AUTO_PARALLEL_MIN_ELEMENTS // 256
         huge = np.zeros((rows, 256))
@@ -311,6 +312,29 @@ class TestAdaptiveDispatch:
         assert probs.shape == big.shape
         # Spot-check a band of the big tensor against the oracle.
         assert np.array_equal(probs[:8], oracle(big[:8]))
+
+    def test_dispatch_reads_host_cores_once(self, monkeypatch,
+                                            pin_cpu_count):
+        """The per-call dispatch must not re-query the host: the core
+        count is read once and the child kernels resolved once."""
+        reads = []
+        pin_cpu_count(1)
+        monkeypatch.setattr("os.cpu_count", lambda: reads.append(1) or 1)
+        for _ in range(3):
+            auto_kernel_choice(8, 512)
+        assert reads == [1]
+        registry_module.host_cores.cache_clear()
+        auto_kernel_choice(8, 512)
+        assert reads == [1, 1]
+
+    def test_adaptive_memoizes_child_kernels(self, paper_config,
+                                             monkeypatch):
+        kernel = AdaptiveSoftermaxKernel(paper_config, workers=1)
+        name = kernel._choose(np.zeros((4, 64)), -1)
+        child = kernel._kernel_for(name)
+        # A second lookup must not go back through the cached factories.
+        monkeypatch.setattr(kernel, "_resolve", None)
+        assert kernel._kernel_for(name) is child
 
     def test_adaptive_empty_axis_raises(self, paper_config):
         with pytest.raises(ValueError):

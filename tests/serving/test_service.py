@@ -54,7 +54,7 @@ def test_batched_responses_bitwise_identical_to_single_request(
                   cache_size=0) as sequential:
         alone = [sequential.infer(tokens) for tokens in requests]
 
-    # Dynamic batching: the whole burst coalesces into padded batches.
+    # Dynamic batching: the whole burst coalesces into packed batches.
     with _service(encoder_service_model, max_batch_size=24,
                   cache_size=64) as batched:
         coalesced = batched.infer_many(requests)
@@ -82,6 +82,25 @@ def test_service_defaults_to_the_plan_engine(encoder_service_model):
         graph_solo = encoder_service_model.encode_ragged(
             [list(tokens)], engine="graph")[0]
         assert np.array_equal(got, graph_solo)
+
+
+def test_packed_batches_bitwise_identical_in_any_order(
+        encoder_service_model):
+    """The plan packs each batch by length (no pad rows): a burst served
+    in two different orders -- one-token requests, repeated lengths and
+    distinct lengths included -- answers every request with the bits of
+    its solo graph-engine encoding."""
+    requests = synthetic_requests(20, min_tokens=1, max_tokens=16, seed=21)
+    requests += [(7,), (3,), (5, 6, 7), (1, 2, 3)]
+    with _service(encoder_service_model, max_batch_size=24,
+                  cache_size=0) as service:
+        forward = service.infer_many(requests)
+        backward = service.infer_many(requests[::-1])[::-1]
+    for tokens, got, again in zip(requests, forward, backward):
+        solo = encoder_service_model.encode_ragged(
+            [list(tokens)], engine="graph")[0]
+        assert np.array_equal(got, solo)
+        assert np.array_equal(again, solo)
 
 
 def test_block_kv_serving_bit_transparent_and_near_dense(

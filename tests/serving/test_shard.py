@@ -59,6 +59,23 @@ def _wait_live(service, count, timeout=30.0):
         f"never reached {count} live workers: {service.snapshot()}")
 
 
+def _wait_events(service, *names, timeout=20.0):
+    """Poll until every named event is recorded; returns the snapshot.
+
+    The supervisor records a failure's events in steps (``worker_stall``
+    or ``worker_kill`` first, ``restart`` only after the dead worker is
+    reaped), so a test must not assert on the first one alone.
+    """
+    deadline = time.perf_counter() + timeout
+    while True:
+        snap = service.snapshot()
+        events = snap["events"]
+        if all(events.get(name, 0) >= 1 for name in names) \
+                or time.perf_counter() >= deadline:
+            return snap
+        time.sleep(0.02)
+
+
 def _requests(n, offset=0):
     return [list(range(2 + (i + offset) % 7, 10 + (i + offset) % 5))
             for i in range(n)]
@@ -90,12 +107,12 @@ def test_external_sigkill_never_terminates_service():
         for tokens, hidden in zip(requests, served):
             assert np.array_equal(hidden,
                                   service.model.encode_ragged([tokens])[0])
-        snap = service.snapshot()
+        snap = _wait_events(service, "worker_kill", "restart")
         assert snap["terminal"] is None
         assert snap["degraded"] is None
         events = snap["events"]
-        assert events.get("worker_kill", 0) >= 1
-        assert events.get("restart", 0) >= 1
+        assert events.get("worker_kill", 0) >= 1, events
+        assert events.get("restart", 0) >= 1, events
         _wait_live(service, 2)  # the replacement came back
 
 
@@ -133,15 +150,9 @@ def test_stalled_worker_is_replaced():
         assert len(served) == len(requests)
         # a stalled worker answers its batch (only its heartbeat died), so
         # detection lands ~stall_timeout_s after it goes idle: poll for it
-        deadline = time.perf_counter() + 20.0
-        while time.perf_counter() < deadline:
-            events = service.snapshot()["events"]
-            if events.get("worker_stall", 0) >= 1:
-                break
-            time.sleep(0.02)
-        snap = service.snapshot()
+        snap = _wait_events(service, "worker_stall", "restart")
         assert snap["events"].get("worker_stall", 0) >= 1, snap["events"]
-        assert snap["events"].get("restart", 0) >= 1
+        assert snap["events"].get("restart", 0) >= 1, snap["events"]
         assert snap["terminal"] is None
 
 

@@ -83,9 +83,9 @@ class TestFastCommands:
         for name in dispatch_candidates():
             assert name in out, name
 
-    def test_kernels_auto_choice_tracks_shape(self, capsys, monkeypatch):
+    def test_kernels_auto_choice_tracks_shape(self, capsys, pin_cpu_count):
         # Pin a multicore host: on a 1-core box auto never picks the pool.
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        pin_cpu_count(8)
         assert main(["kernels", "--batch", "1024", "--seq-len", "2048",
                      "--workers", "1"]) == 0
         out = capsys.readouterr().out
@@ -96,8 +96,8 @@ class TestFastCommands:
         assert "auto resolves to: softermax-parallel" in out
 
     def test_kernels_auto_choice_single_core_skips_pool(self, capsys,
-                                                        monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
+                                                        pin_cpu_count):
+        pin_cpu_count(1)
         assert main(["kernels", "--batch", "4096", "--seq-len", "2048",
                      "--workers", "8"]) == 0
         assert (f"auto resolves to: {IN_PROCESS_BIG}"
