@@ -230,7 +230,7 @@ def run_benchmark(model_name: str, number: int, repeat: int,
                                            fuse_qkv=True),
     }, number, repeat)
     single["workload"] = (f"1 request x seq {model.config.max_seq_len}, "
-                          f"{model.config.name}, adaptive Softermax kernel")
+                          f"{model.config.name}, auto Softermax kernel")
 
     batches = ragged_batches(model, seed=seed)
     graph_rotation = itertools.cycle(batches)

@@ -1,4 +1,4 @@
-"""Kernel engine benchmark: oracle vs fused vs blocked vs parallel vs native.
+"""Kernel engine benchmark: oracle vs fused vs native.
 
 Times every requested kernel across sequence lengths and batch sizes and
 writes ``benchmarks/results/BENCH_kernels.json`` so later PRs have a
@@ -11,12 +11,14 @@ recorded perf trajectory.  Two workloads are covered:
   kernel at the same point (recorded only when the extension is built);
 * the **huge-tensor throughput** workload (batch x heads worth of rows at a
   long sequence length, default 64 x 16 rows @ seq 2048) -- headline: the
-  blocked/parallel/native engines' speedup over the fused kernel, the
-  bandwidth-bound regime those engines exist for.
+  native engine's speedup over the fused kernel in the bandwidth-bound
+  regime.
 
 Every timed Softermax kernel stays bitwise-identical (checked here too, on
 top of the equivalence suite), and each timing point records the
 tracemalloc peak of one call so memory wins are part of the trajectory.
+The payload records its environment: ``cpu_count``, ``native`` (whether
+``softermax-native`` was registered) and ``git_rev``.
 
 Usage::
 
@@ -46,7 +48,7 @@ import numpy as np
 
 if __package__ in (None, ""):  # executed as a plain script
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from benchmarks.bench_utils import RESULTS_DIR
+from benchmarks.bench_utils import RESULTS_DIR, git_revision
 
 from repro.core import SoftermaxConfig, attention_score_batch
 from repro.eval import kernel_timing_sweep
@@ -55,8 +57,6 @@ from repro.kernels import native_available, resolve_kernel
 #: The pair the row-latency acceptance criterion is about.
 ORACLE = "softermax-bit-accurate"
 FUSED = "softermax-fused"
-BLOCKED = "softermax-blocked"
-PARALLEL = "softermax-parallel"
 NATIVE = "softermax-native"
 
 #: Huge-tensor throughput workload: 64 batch x 16 heads worth of rows at
@@ -124,7 +124,8 @@ def run_bench(seq_lens, batches, kernels, repeats: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "native_extension": native_available(),
+        "native": native_available(),
+        "git_rev": git_revision(),
         "kernels": list(kernels),
         "seq_lens": list(seq_lens),
         "batches": list(batches),
@@ -136,48 +137,27 @@ def run_bench(seq_lens, batches, kernels, repeats: int) -> dict:
     }
 
 
-def run_huge_bench(rows: int, seq_len: int, repeats: int,
-                   workers: int | None = None) -> dict:
+def run_huge_bench(rows: int, seq_len: int, repeats: int) -> dict:
     """Time the huge-tensor throughput workload (no oracle: too slow)."""
     config = SoftermaxConfig.paper_table1()
-    cpu = os.cpu_count() or 1
-    workers = workers or min(4, max(2, cpu))
-    kernels = (FUSED, BLOCKED, f"{PARALLEL}(workers={workers})")
-    if native_available():
-        kernels += (NATIVE,)
+    kernels = (FUSED, NATIVE) if native_available() else (FUSED,)
     _check_bitwise(config, kernels, 256)
 
     points = kernel_timing_sweep(kernels=kernels, seq_lens=(seq_len,),
                                  batches=(rows,), config=config,
                                  repeats=repeats, min_calls=1)
     fused = _best(points, FUSED, seq_len, rows)
-    blocked = _best(points, BLOCKED, seq_len, rows)
-    parallel = _best(points, f"{PARALLEL}(workers={workers})", seq_len, rows)
     native = _best(points, NATIVE, seq_len, rows)
-    payload = {
+    return {
         "workload": f"{rows} rows x seq {seq_len} "
                     f"({rows * seq_len} elements, huge-tensor throughput)",
         "rows": rows,
         "seq_len": seq_len,
-        "workers": workers,
-        "cpu_count": cpu,
         "results": [vars(p) for p in points],
-        "speedup_blocked_vs_fused":
-            None if fused is None or blocked is None
-            else round(fused / blocked, 2),
-        "speedup_parallel_vs_fused":
-            None if fused is None or parallel is None
-            else round(fused / parallel, 2),
         "speedup_native_vs_fused":
             None if fused is None or native is None
             else round(fused / native, 2),
     }
-    if cpu <= 1:
-        payload["note"] = ("single-core box: the parallel backend pays pool "
-                           "overhead with no extra cores; its recorded "
-                           "number is a machinery cost, not a capability "
-                           "ceiling")
-    return payload
 
 
 def check_against_baseline(payload: dict, baseline_path: Path,
@@ -200,13 +180,14 @@ def check_against_baseline(payload: dict, baseline_path: Path,
                 f"fused-vs-oracle speedup at {key} fell to {measured[key]}x "
                 f"(recorded {recorded[key]}x, tolerance {tolerance:.0%})")
 
+    if baseline.get("native") != payload.get("native"):
+        warnings.append(
+            f"baseline was recorded with native={baseline.get('native')} "
+            f"but this run has native={payload.get('native')}; skipping "
+            "the native diffs")
+        return warnings
     rec_native = baseline.get("speedup_native_vs_fused", {})
     mes_native = payload.get("speedup_native_vs_fused", {})
-    if rec_native and not mes_native:
-        warnings.append(
-            "baseline records softermax-native speedups but this run has "
-            "none (extension not built or disabled); skipping the native "
-            "diff")
     for key in sorted(set(rec_native) & set(mes_native)):
         if rec_native[key] and mes_native[key] < rec_native[key] * tolerance:
             warnings.append(
@@ -225,13 +206,12 @@ def check_against_baseline(payload: dict, baseline_path: Path,
             f"{rec_huge.get('rows')}x{rec_huge.get('seq_len')}); "
             "skipping the huge-tensor speedup diff")
     elif same_workload:
-        for field in ("speedup_blocked_vs_fused", "speedup_parallel_vs_fused",
-                      "speedup_native_vs_fused"):
-            rec, mes = rec_huge.get(field), mes_huge.get(field)
-            if rec and mes and mes < rec * tolerance:
-                warnings.append(
-                    f"huge-tensor {field} fell to {mes}x "
-                    f"(recorded {rec}x, tolerance {tolerance:.0%})")
+        rec = rec_huge.get("speedup_native_vs_fused")
+        mes = mes_huge.get("speedup_native_vs_fused")
+        if rec and mes and mes < rec * tolerance:
+            warnings.append(
+                f"huge-tensor native-vs-fused speedup fell to {mes}x "
+                f"(recorded {rec}x, tolerance {tolerance:.0%})")
     return warnings
 
 
@@ -243,15 +223,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seq-lens", type=int, nargs="+",
                         default=[64, 128, 256, 512, 1024])
     parser.add_argument("--batches", type=int, nargs="+", default=[8, 64])
-    default_kernels = [ORACLE, FUSED, BLOCKED, "reference", "base2"]
+    default_kernels = [ORACLE, FUSED, "reference", "base2"]
     if native_available():
-        default_kernels.insert(3, NATIVE)
+        default_kernels.insert(2, NATIVE)
     parser.add_argument("--kernels", nargs="+", default=default_kernels)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--huge-rows", type=int, default=HUGE_ROWS)
     parser.add_argument("--huge-seq", type=int, default=HUGE_SEQ)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="pool size for the huge-workload parallel point")
     parser.add_argument("--skip-huge", action="store_true",
                         help="skip the huge-tensor throughput workload")
     parser.add_argument("--output", default=str(RESULTS_DIR / "BENCH_kernels.json"))
@@ -267,7 +245,7 @@ def main(argv=None) -> int:
             # baseline diff below compares like with like.
             payload["huge"] = run_huge_bench(rows=args.huge_rows,
                                              seq_len=args.huge_seq,
-                                             repeats=2, workers=args.workers)
+                                             repeats=2)
     else:
         payload = run_bench(seq_lens=tuple(args.seq_lens),
                             batches=tuple(args.batches),
@@ -276,8 +254,7 @@ def main(argv=None) -> int:
         if not args.skip_huge:
             payload["huge"] = run_huge_bench(rows=args.huge_rows,
                                              seq_len=args.huge_seq,
-                                             repeats=args.repeats,
-                                             workers=args.workers)
+                                             repeats=args.repeats)
     payload["ru_maxrss_kb"] = (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         if resource is not None else None)
@@ -293,12 +270,8 @@ def main(argv=None) -> int:
               f"{payload['native_speedup_at_512']:.1f}x over fused")
     huge = payload.get("huge")
     if huge:
-        print(f"huge workload ({huge['workload']}):")
-        print(f"  blocked  vs fused: {huge['speedup_blocked_vs_fused']}x")
-        print(f"  parallel vs fused: {huge['speedup_parallel_vs_fused']}x "
-              f"(workers={huge['workers']}, cpu_count={huge['cpu_count']})")
-        if huge.get("speedup_native_vs_fused") is not None:
-            print(f"  native   vs fused: {huge['speedup_native_vs_fused']}x")
+        print(f"huge workload ({huge['workload']}): native vs fused "
+              f"{huge['speedup_native_vs_fused']}x")
 
     if args.quick:
         # The smoke run verifies the harness end to end without clobbering

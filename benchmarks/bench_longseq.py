@@ -18,7 +18,8 @@ length (2k / 8k / 32k on the ``tiny-long`` surrogate, ``block_kv=512``):
   ``{"feasible": false, "estimated_bytes": ...}`` where it does not
   (the 32k row: the headline is that chunked *runs* where dense cannot);
 * steady-state allocation counters (asserted zero, as in
-  ``bench_encoder``): blocked execution stays allocation-free too.
+  ``bench_encoder``): blocked execution stays allocation-free too;
+* the environment: ``cpu_count``, ``native`` and ``git_rev``.
 
 Before anything is timed, small-shape equivalence is asserted: chunked
 plan == chunked graph bitwise, and ``block_kv >= seq`` == dense bitwise.
@@ -47,7 +48,7 @@ import numpy as np
 
 if __package__ in (None, ""):  # executed as a plain script
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from benchmarks.bench_utils import RESULTS_DIR
+from benchmarks.bench_utils import RESULTS_DIR, git_revision
 
 BLOCK_KV = 512
 SEQ_LENS = (2048, 8192, 32768)
@@ -249,10 +250,14 @@ def run_benchmark(seq_lens, repeat: int, seed: int) -> dict:
           f"allocations, {steady['kernel_scratch_reallocs']} scratch "
           "reallocs (asserted zero)")
 
+    from repro.kernels import native_available
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "native": native_available(),
+        "git_rev": git_revision(),
         "model": "tiny-long",
         "block_kv": BLOCK_KV,
         "points": points,

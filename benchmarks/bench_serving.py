@@ -50,8 +50,9 @@ import numpy as np
 
 if __package__ in (None, ""):  # executed as a plain script
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from benchmarks.bench_utils import RESULTS_DIR
+from benchmarks.bench_utils import RESULTS_DIR, git_revision
 
+from repro.kernels import native_available
 from repro.serving.loadtest import run_loadtest, synthetic_requests
 from repro.serving.service import ServiceConfig, build_encoder_service
 
@@ -103,11 +104,13 @@ def run_curve(num_requests: int, batch_sizes, max_wait_ms: float,
                     / sequential["requests_per_second"], 2)
     payload = {
         "workload": f"{num_requests} unique requests of 8-16 tokens, "
-                    "tiny-base encoder, adaptive Softermax kernel, "
+                    "tiny-base encoder, auto Softermax kernel, "
                     "cache disabled",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "native": native_available(),
+        "git_rev": git_revision(),
         "requests": num_requests,
         "batch_sizes": list(batch_sizes),
         "results": points,

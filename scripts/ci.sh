@@ -68,8 +68,9 @@ python -m benchmarks.bench_serving --quick
 
 echo "== perfbench trace smoke (hard fail: a bitwise mismatch exits 1, a"
 echo "   plan op the tracer cannot classify crashes, kernel calls leaving"
-echo "   softermax-native exit 3) =="
-for workload in short-burst long-closed; do
+echo "   softermax-native exit 3, a broken shard spawn or daemon argv fails"
+echo "   daemon-sharded-dup) =="
+for workload in short-burst long-closed daemon-sharded-dup; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 \
         --trace 1
 done

@@ -7,8 +7,9 @@ Efficient Softmax for Transformers* (DAC 2021).  It provides:
   normalization, fixed-point linear-piecewise power-of-two and reciprocal
   units) together with reference softmax implementations.
 * ``repro.kernels`` -- the softmax kernel engine: a fused whole-tensor
-  Softermax bitwise-identical to the slice-loop pipeline, and a named
-  registry with ``"auto"`` selection used across the stack.
+  Softermax and an optional compiled one, both bitwise-identical to the
+  slice-loop pipeline, behind a named registry whose ``"auto"`` alias is
+  used across the stack.
 * ``repro.fixedpoint`` -- a Q-format fixed-point arithmetic substrate.
 * ``repro.quant`` -- 8-bit integer quantization and quantization-aware
   training utilities (percentile calibration, straight-through estimator).

@@ -20,8 +20,9 @@ Beyond the paper experiments, the serving layer is driven from here too::
     python -m repro.cli loadtest --chaos --quick --deadline-ms 120
 
 Softermax commands take a ``--kernel`` selector (see ``repro.cli kernels``
-for the registry); the default ``auto`` resolves to the fused fast path,
-which is bitwise-identical to the slice-loop oracle.
+for the registry); the default ``auto`` resolves to the native C engine
+when it is built, else the fused NumPy kernel -- both bitwise-identical to
+the slice-loop oracle.
 
 (The Table III command trains real NumPy models and can take minutes for the
 full task list; the default runs a single quick task.)
@@ -43,13 +44,7 @@ from repro.core import (
     softmax_reference,
     split_exp_softmax,
 )
-from repro.kernels import (
-    auto_kernel_choice,
-    available_kernels,
-    dispatch_candidates,
-    get_kernel,
-    resolve_kernel,
-)
+from repro.kernels import available_kernels, get_kernel, resolve_kernel
 from repro.reporting import format_table, format_table1, format_table3, format_table4, series_to_csv
 
 
@@ -118,38 +113,17 @@ def _cmd_table3(args: argparse.Namespace) -> int:
     finetune_config = FinetuneConfig(pretrain_epochs=args.epochs,
                                      finetune_epochs=max(1, args.epochs // 3),
                                      seed=args.seed)
-    kernel_options = _kernel_options(args)
-    if args.kernel != "auto" or kernel_options:
+    if args.kernel != "auto":
         # Rebind the registered "softermax" variant to the requested kernel
         # so the whole fine-tuning stack picks it up.
         from repro.nn.functional import make_softermax_variant, register_softmax_variant
 
-        _resolve_kernel_or_exit(args.kernel, bit_accurate_only=True,
-                                **kernel_options)
-        register_softmax_variant(make_softermax_variant(
-            kernel=args.kernel, kernel_options=kernel_options))
+        _resolve_kernel_or_exit(args.kernel, bit_accurate_only=True)
+        register_softmax_variant(make_softermax_variant(kernel=args.kernel))
     comparison = run_accuracy_comparison(tasks, model_config, finetune_config)
     print(format_table3({args.model: comparison}))
     print(f"\naverage delta (Softermax - baseline): {comparison.average_delta():+.2f}")
     return 0
-
-
-def _kernel_options(args: argparse.Namespace) -> dict:
-    """Engine knobs (``--workers``, ``--block-rows``) present on ``args``.
-
-    Serving commands rename the pool knob ``--kernel-workers`` (their
-    ``--workers`` means shard *processes*); prefer it when present.
-    """
-    options = {}
-    if hasattr(args, "kernel_workers"):
-        workers = args.kernel_workers
-    else:
-        workers = getattr(args, "workers", None)
-    if workers is not None:
-        options["workers"] = workers
-    if getattr(args, "block_rows", None) is not None:
-        options["block_rows"] = args.block_rows
-    return options
 
 
 def _zero_if_none(value):
@@ -157,33 +131,16 @@ def _zero_if_none(value):
     return 0.0 if value is None else value
 
 
-def _add_kernel_knobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the parallel kernel "
-                             "(default: cpu count)")
-    parser.add_argument("--block-rows", type=int, default=None,
-                        help="rows per block for the blocked/parallel "
-                             "kernels (default: adaptive)")
-
-
 def _add_serving_knobs(parser: argparse.ArgumentParser) -> None:
-    """Serving-tier knobs: here ``--workers`` means shard *processes*
-    (0 = classic in-process service) and the kernel pool knob is renamed
-    ``--kernel-workers`` to stay available without a collision."""
+    """Serving-tier knobs shared by ``serve`` and ``daemon``."""
     parser.add_argument("--workers", type=int, default=0,
                         help="shard worker processes sharing one "
                              "shared-memory snapshot (0 = in-process "
                              "service; default: 0)")
-    parser.add_argument("--kernel-workers", type=int, default=None,
-                        help="worker processes for the parallel kernel "
-                             "(default: cpu count)")
-    parser.add_argument("--block-rows", type=int, default=None,
-                        help="rows per block for the blocked/parallel "
-                             "kernels (default: adaptive)")
 
 
 def _resolve_kernel_or_exit(name: str, config=None,
-                            bit_accurate_only: bool = False, **options):
+                            bit_accurate_only: bool = False):
     """Resolve a kernel name, exiting with a clean message on a bad name.
 
     ``bit_accurate_only`` restricts the choice to the Softermax family:
@@ -202,10 +159,10 @@ def _resolve_kernel_or_exit(name: str, config=None,
               f"choose from: {', '.join(['auto', *accurate])}", file=sys.stderr)
         raise SystemExit(2)
     try:
-        return resolve_kernel(name, config, **options)
+        return resolve_kernel(name, config)
     except (TypeError, ValueError) as exc:
         # Unsupported option for this kernel, or an invalid option value
-        # (e.g. workers=0): a usage error, not a crash.
+        # (e.g. lpw_method=bogus): a usage error, not a crash.
         print(str(exc), file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -215,8 +172,7 @@ def _cmd_compare_softmax(args: argparse.Namespace) -> int:
                                    seed=args.seed)
     softermax_fn = _resolve_kernel_or_exit(args.kernel,
                                            SoftermaxConfig.paper_table1(),
-                                           bit_accurate_only=True,
-                                           **_kernel_options(args))
+                                           bit_accurate_only=True)
     variants = {
         "base-2 float": base2_softmax,
         "softermax (Table I)": softermax_fn,
@@ -239,8 +195,7 @@ def _cmd_compare_softmax(args: argparse.Namespace) -> int:
 def _cmd_kernels(args: argparse.Namespace) -> int:
     from repro.reporting import format_table
 
-    auto_pick = auto_kernel_choice(args.batch, args.seq_len,
-                                   workers=args.workers)
+    auto_pick = get_kernel("auto").name
     rows = []
     for name in available_kernels():
         spec = get_kernel(name)
@@ -252,16 +207,11 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
         else:
             inplace = "copy"
         rows.append([name + marker, "yes" if spec.bit_accurate else "no",
-                     inplace, spec.selection or "-", spec.description])
+                     inplace, spec.description])
     print(format_table(
-        ["kernel", "bit-accurate", "out=/scratch", "selection",
-         "description"], rows,
-        title='Registered softmax kernels ("auto" dispatches per call)'))
-    print("\nadaptive candidates (from the registry, in registration "
-          "order): " + " / ".join(dispatch_candidates()))
-    print(f"auto resolves to: {auto_pick} for shape "
-          f"(batch={args.batch}, seq_len={args.seq_len}, "
-          f"elements={args.batch * args.seq_len})")
+        ["kernel", "bit-accurate", "out=/scratch", "description"], rows,
+        title="Registered softmax kernels"))
+    print(f"\nauto resolves to: {auto_pick}")
     return 0
 
 
@@ -269,22 +219,11 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
     from repro.eval import kernel_timing_sweep
     from repro.reporting import format_table
 
-    from repro.kernels import supported_options
-
-    options = _kernel_options(args)
     for name in args.kernels:
         _resolve_kernel_or_exit(name)
-        if options:
-            # Shared knobs only reach the kernels that understand them (the
-            # sweep filters the same way), so `--block-rows` can ride along
-            # a list that also contains e.g. the oracle.
-            accepted = supported_options(name)
-            _resolve_kernel_or_exit(
-                name, **{k: v for k, v in options.items() if k in accepted})
     points = kernel_timing_sweep(kernels=tuple(args.kernels),
                                  seq_lens=tuple(args.seq_lens),
-                                 batches=(args.batch,),
-                                 kernel_options=options)
+                                 batches=(args.batch,))
     rows = [[p.kernel, p.seq_len, p.batch, p.best_seconds * 1e3,
              p.rows_per_second,
              "-" if p.peak_mem_bytes is None else p.peak_mem_bytes / 1e6]
@@ -317,15 +256,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         if args.workers > 0:
             service = build_sharded_service(
-                model_name=args.model, kernel=args.kernel,
-                kernel_options=_kernel_options(args), seed=args.seed,
+                model_name=args.model, kernel=args.kernel, seed=args.seed,
                 config=config, policy=RestartPolicy(seed=args.seed),
                 num_workers=args.workers)
         else:
             service = build_encoder_service(
-                model_name=args.model, kernel=args.kernel,
-                kernel_options=_kernel_options(args),
-                seed=args.seed, config=config)
+                model_name=args.model, kernel=args.kernel, seed=args.seed,
+                config=config)
     except (KeyError, TypeError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
@@ -598,13 +535,11 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
                                seed=args.seed)
         if args.workers > 0:
             service = build_sharded_service(
-                model_name=args.model, kernel=args.kernel,
-                kernel_options=_kernel_options(args), seed=args.seed,
+                model_name=args.model, kernel=args.kernel, seed=args.seed,
                 config=config, policy=policy, num_workers=args.workers)
         else:
             service = build_supervised_service(
-                model_name=args.model, kernel=args.kernel,
-                kernel_options=_kernel_options(args), seed=args.seed,
+                model_name=args.model, kernel=args.kernel, seed=args.seed,
                 config=config, policy=policy)
     except (KeyError, TypeError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
@@ -772,7 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     table3.add_argument("--seed", type=int, default=0)
     table3.add_argument("--kernel", default="auto",
                         help="Softermax kernel (see the 'kernels' command)")
-    _add_kernel_knobs(table3)
 
     compare = sub.add_parser("compare-softmax",
                              help="numerical comparison of softmax approximations")
@@ -781,28 +715,19 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--kernel", default="auto",
                          help="Softermax kernel (see the 'kernels' command)")
-    _add_kernel_knobs(compare)
 
-    kernels = sub.add_parser("kernels",
-                             help="list the registered softmax kernels and "
-                                  "the auto selection for a shape")
-    kernels.add_argument("--batch", type=int, default=8,
-                         help="rows of the probe shape auto is resolved for")
-    kernels.add_argument("--seq-len", type=int, default=512,
-                         help="reduction length of the probe shape")
-    kernels.add_argument("--workers", type=int, default=None,
-                         help="worker budget assumed for the auto probe "
-                              "(default: cpu count)")
+    sub.add_parser("kernels",
+                   help="list the registered softmax kernels and what "
+                        "auto resolves to")
 
     bench = sub.add_parser("bench-kernels",
                            help="time registered kernels on batched rows")
     bench.add_argument("--kernels", nargs="+",
                        default=["softermax-bit-accurate", "softermax-fused",
-                                "softermax-blocked"])
+                                "auto"])
     bench.add_argument("--seq-lens", type=int, nargs="+",
                        default=[64, 128, 256, 512, 1024])
     bench.add_argument("--batch", type=int, default=8)
-    _add_kernel_knobs(bench)
 
     serve = sub.add_parser("serve",
                            help="interactive dynamic-batching inference "

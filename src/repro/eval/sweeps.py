@@ -22,7 +22,7 @@ import numpy as np
 from repro.core import SoftermaxConfig, base2_softmax, compare_softmax, attention_score_batch
 from repro.hardware.energy_model import SweepPoint, sequence_length_sweep
 from repro.hardware.runtime_model import RuntimeBreakdown, runtime_breakdown_sweep
-from repro.kernels import resolve_kernel, supported_options
+from repro.kernels import resolve_kernel
 from repro.models.bert import BertConfig
 
 
@@ -97,17 +97,15 @@ def softermax_error_sweep(
     config: SoftermaxConfig | None = None,
     seed: int = 0,
     kernel: str = "auto",
-    kernel_options: Optional[dict] = None,
 ) -> List[AccuracySweepPoint]:
     """Numerical error of Softermax vs the float base-2 softmax, per seq len.
 
-    ``kernel`` (plus any engine knobs in ``kernel_options``) picks the
-    Softermax implementation from the registry; the bit-accurate family
-    yields identical numbers, so this only changes how long the sweep
-    takes.
+    ``kernel`` picks the Softermax implementation from the registry; the
+    bit-accurate family yields identical numbers, so this only changes how
+    long the sweep takes.
     """
     config = config or SoftermaxConfig.paper_table1()
-    kernel_fn = resolve_kernel(kernel, config, **(kernel_options or {}))
+    kernel_fn = resolve_kernel(kernel, config)
     points: List[AccuracySweepPoint] = []
     for seq_len in seq_lens:
         scores = attention_score_batch(batch, seq_len, seed=seed)
@@ -127,7 +125,7 @@ class KernelTimingPoint:
 
     ``peak_mem_bytes`` is the tracemalloc high-water mark of one call
     (Python-side allocations, which for these kernels means the NumPy
-    arrays; allocations made inside worker processes are not visible).
+    arrays).
     """
 
     kernel: str
@@ -160,27 +158,19 @@ def kernel_timing_sweep(
     repeats: int = 3,
     min_calls: int = 2,
     seed: int = 0,
-    kernel_options: Optional[dict] = None,
     measure_memory: bool = True,
 ) -> List[KernelTimingPoint]:
     """Time registered kernels over batched attention-score rows.
 
     Used by ``benchmarks/bench_kernels.py`` to record the perf trajectory
     of the kernel engine (best-of-``repeats`` wall-clock per call).
-    Kernel names may embed engine knobs (``"softermax-parallel(workers=4)"``)
-    and ``kernel_options`` applies extra knobs to every kernel that
-    understands them (knobs a kernel's factory does not accept are simply
-    not forwarded, so one ``workers=...`` can ride along a mixed kernel
-    list).  The memory probe runs outside the timed loop so it never skews
-    timings.
+    Kernel names may embed options (``"softermax-fused(lpw_method=lstsq)"``).
+    The memory probe runs outside the timed loop so it never skews timings.
     """
     config = config or SoftermaxConfig.paper_table1()
     points: List[KernelTimingPoint] = []
     for name in kernels:
-        accepted = supported_options(name)
-        options = {key: value for key, value in (kernel_options or {}).items()
-                   if key in accepted}
-        kernel_fn = resolve_kernel(name, config, **options)
+        kernel_fn = resolve_kernel(name, config)
         for seq_len in seq_lens:
             for batch in batches:
                 scores = attention_score_batch(batch, seq_len, seed=seed)

@@ -4,32 +4,23 @@
 slice-loop pipeline); this subpackage is about *how fast* it runs and how a
 caller picks an implementation:
 
-* :mod:`repro.kernels.fused` -- the fused whole-tensor kernel, bitwise
-  identical to :class:`~repro.core.softermax.SoftermaxPipeline` and an order
-  of magnitude faster on small batched attention-score tensors (the latency
-  regime).
-* :mod:`repro.kernels.blocked` -- the row-blocked streaming kernel with
-  preallocated scratch buffers, the fast path for the bandwidth-bound
-  huge-tensor regime.
-* :mod:`repro.kernels.parallel` -- row blocks fanned out over a
-  ``multiprocessing`` pool via shared memory (results written in place).
+* :mod:`repro.kernels.fused` -- the fused whole-tensor NumPy kernel,
+  bitwise identical to :class:`~repro.core.softermax.SoftermaxPipeline` and
+  an order of magnitude faster (the pure-Python fast path).
 * :mod:`repro.kernels.native` -- the compiled C row loop over the
-  integer-code LUT pipeline (optional extension; falls back to the fused
-  kernel when absent or disabled via ``REPRO_DISABLE_NATIVE=1``).
-* :mod:`repro.kernels.registry` -- the name -> implementation registry with
-  adaptive ``"auto"`` selection, used by the attention layers, sweeps, the
-  CLI and the benchmarks.
+  integer-code LUT pipeline (optional extension; the fused kernel stands
+  in when it is absent or disabled via ``REPRO_DISABLE_NATIVE=1``).
+* :mod:`repro.kernels.registry` -- the name -> implementation registry,
+  used by the attention layers, sweeps, the CLI and the benchmarks; its
+  ``"auto"`` alias names native when registered, else fused.
 * :mod:`repro.kernels.workspace` -- the workspace-aware call contract:
   caller-owned ``out=`` buffers, the :class:`KernelWorkspace` scratch pool
   shared by every engine, and the kernel output-allocation counters the
   serving benchmarks assert against.
+* :mod:`repro.kernels.shm` -- shared-memory attach helpers for the
+  serving snapshot bundle.
 """
 
-from repro.kernels.blocked import (
-    BlockedSoftermaxKernel,
-    blocked_softermax,
-    get_blocked_kernel,
-)
 from repro.kernels.fused import (
     FusedSoftermaxKernel,
     fused_softermax,
@@ -41,25 +32,14 @@ from repro.kernels.native import (
     native_available,
     native_softermax,
 )
-from repro.kernels.parallel import (
-    ParallelSoftermaxKernel,
-    get_parallel_kernel,
-    parallel_softermax,
-)
 from repro.kernels.registry import (
-    AUTO_BLOCKED_MIN_ELEMENTS,
-    AUTO_KERNEL,
-    AUTO_PARALLEL_MIN_ELEMENTS,
-    AdaptiveSoftermaxKernel,
     KernelSpec,
     auto_kernel_choice,
     available_kernels,
-    dispatch_candidates,
     get_kernel,
     parse_kernel_name,
     register_kernel,
     resolve_kernel,
-    supported_options,
 )
 from repro.kernels.workspace import (
     KernelWorkspace,
@@ -70,9 +50,6 @@ from repro.kernels.workspace import (
 )
 
 __all__ = [
-    "BlockedSoftermaxKernel",
-    "blocked_softermax",
-    "get_blocked_kernel",
     "FusedSoftermaxKernel",
     "fused_softermax",
     "get_fused_kernel",
@@ -80,22 +57,13 @@ __all__ = [
     "get_native_kernel",
     "native_available",
     "native_softermax",
-    "ParallelSoftermaxKernel",
-    "get_parallel_kernel",
-    "parallel_softermax",
-    "AUTO_BLOCKED_MIN_ELEMENTS",
-    "AUTO_KERNEL",
-    "AUTO_PARALLEL_MIN_ELEMENTS",
-    "AdaptiveSoftermaxKernel",
     "KernelSpec",
     "auto_kernel_choice",
     "available_kernels",
-    "dispatch_candidates",
     "get_kernel",
     "parse_kernel_name",
     "register_kernel",
     "resolve_kernel",
-    "supported_options",
     "KernelWorkspace",
     "check_out_buffer",
     "output_allocation_count",

@@ -15,7 +15,7 @@ C path cannot express bitwise is routed to the fused kernel instead:
 
 * the extension is not importable (no compiler, wheel-less install) or
   disabled via ``REPRO_DISABLE_NATIVE=1`` -- the engine is then not
-  registered at all and ``softermax-adaptive`` never selects it;
+  registered at all and ``"auto"`` names ``softermax-fused`` instead;
 * the operating point is outside the integer fast path (no difference
   LUT, no online normalization, float maxima, untabulated reciprocal or
   signed output format) -- the kernel permanently delegates to fused;

@@ -1,12 +1,11 @@
 """Shared-memory lifecycle helpers used by every shm consumer in the repo.
 
-Two independent subsystems put tensors into POSIX shared memory -- the
-parallel Softermax kernel (:mod:`repro.kernels.parallel`) and the serving
-snapshot bundle (:mod:`repro.serving.snapshot`) -- and both hit the same
-CPython wart: under the ``spawn`` start method a child that merely
-*attaches* to a segment registers it with its own ``resource_tracker``,
-which then unlinks the parent's segment when the child exits (and prints a
-leaked-resource warning on the way out).  The stdlib fix is to unregister
+The serving snapshot bundle (:mod:`repro.serving.snapshot`) puts tensors
+into POSIX shared memory and hits a CPython wart: under the ``spawn``
+start method a child that merely *attaches* to a segment registers it
+with its own ``resource_tracker``, which then unlinks the parent's segment
+when the child exits (and prints a leaked-resource warning on the way
+out).  The stdlib fix is to unregister
 the attachment, but the tracker is keyed by the segment's *raw* name
 (``shm._name``, with the POSIX leading slash), a private attribute.
 
@@ -19,7 +18,7 @@ This module owns that workaround in one place:
 * :func:`unregister_inherited_segment` performs the unregistration
   (a no-op under ``fork``, where children share the parent's tracker).
 * :func:`attach_shared_memory` is the one-call attach-without-ownership
-  helper both subsystems use.
+  helper shard workers use.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ The kernel call contract (see :mod:`repro.kernels.registry`) is
   internal temporary (quantization buffers, gather indices, unnormalized
   codes).  One workspace serves every engine: the buffers are keyed by a
   namespaced string, grown monotonically, and reused across calls, so a
-  steady-state caller (the inference-plan executor, the blocked kernel's
-  built-in workspace) performs no per-call scratch allocation either.
+  steady-state caller (the inference-plan executor, a serving worker)
+  performs no per-call scratch allocation either.
 
 The module also owns the **output-allocation counter**: every kernel that
 allocates the array it hands back (no ``out=``, or an implementation
@@ -31,7 +31,7 @@ class KernelWorkspace:
     """Named, dtype-aware scratch buffers shared across kernel calls.
 
     Buffers are keyed by an arbitrary string (kernels namespace their keys,
-    e.g. ``"blocked.icodes"``), grown monotonically (a smaller request
+    e.g. ``"fused.icodes"``), grown monotonically (a smaller request
     reuses the larger buffer) and replaced when the dtype changes.  The
     workspace can be *arena-backed*: pass any allocator exposing
     ``acquire(shape, dtype)`` / ``release(buffer)`` (in practice a

@@ -107,7 +107,6 @@ class BertEncoderModel(Module):
     def __init__(self, config: BertConfig,
                  softmax_variant: str | SoftmaxVariant = "reference",
                  kernel: str = "auto",
-                 kernel_options: Optional[dict] = None,
                  seed: Optional[int] = None) -> None:
         super().__init__()
         rng = np.random.default_rng(seed)
@@ -124,7 +123,6 @@ class BertEncoderModel(Module):
             dropout=config.dropout,
             softmax_variant=softmax_variant,
             kernel=kernel,
-            kernel_options=kernel_options,
             seed=seed,
         )
         #: Compiled inference plans, keyed by ``(fuse_qkv, block_kv)``.
@@ -341,11 +339,9 @@ class BertEncoderModel(Module):
         self._plans.clear()
 
     def set_softmax_variant(self, variant: str | SoftmaxVariant,
-                            kernel: str = "auto",
-                            kernel_options: Optional[dict] = None) -> None:
+                            kernel: str = "auto") -> None:
         """Switch the attention softmax of every encoder layer."""
-        self.encoder.set_softmax_variant(variant, kernel=kernel,
-                                        kernel_options=kernel_options)
+        self.encoder.set_softmax_variant(variant, kernel=kernel)
         self._plans.clear()
 
 
@@ -415,15 +411,12 @@ class TaskModel(Module):
     def __init__(self, config: BertConfig, task: TaskDataset,
                  softmax_variant: str | SoftmaxVariant = "reference",
                  kernel: str = "auto",
-                 kernel_options: Optional[dict] = None,
                  seed: Optional[int] = None) -> None:
         super().__init__()
         self.config = config
         self.task_type = task.task_type
         self.encoder_model = BertEncoderModel(config, softmax_variant,
-                                              kernel=kernel,
-                                              kernel_options=kernel_options,
-                                              seed=seed)
+                                              kernel=kernel, seed=seed)
         if task.task_type == "classification":
             self.head = ClassificationHead(config.hidden_dim, task.num_classes,
                                            dropout=config.dropout, seed=seed)
@@ -441,7 +434,5 @@ class TaskModel(Module):
         return self.head(hidden)
 
     def set_softmax_variant(self, variant: str | SoftmaxVariant,
-                            kernel: str = "auto",
-                            kernel_options: Optional[dict] = None) -> None:
-        self.encoder_model.set_softmax_variant(variant, kernel=kernel,
-                                               kernel_options=kernel_options)
+                            kernel: str = "auto") -> None:
+        self.encoder_model.set_softmax_variant(variant, kernel=kernel)

@@ -38,12 +38,10 @@ class MultiHeadSelfAttention(Module):
     kernel:
         Softermax kernel selector (see :mod:`repro.kernels`): when the
         variant is the string ``"softermax"``, pick the named implementation
-        (``"auto"`` resolves to the adaptive fused/blocked/parallel
-        dispatcher; pass ``"softermax-bit-accurate"`` to force the
-        slice-loop oracle).  Ignored for other variants.
-    kernel_options:
-        Engine knobs forwarded to the kernel factory (``workers``,
-        ``block_rows``); ignored for non-Softermax variants.
+        (``"auto"`` names the native engine when built, else fused; pass
+        ``"softermax-bit-accurate"`` to force the slice-loop oracle).  Options
+        ride in the name, e.g. ``"softermax-fused(lpw_method=lstsq)"``.
+        Ignored for other variants.
     rng:
         Generator for weight initialization.
     """
@@ -55,7 +53,6 @@ class MultiHeadSelfAttention(Module):
         dropout: float = 0.1,
         softmax_variant: str | SoftmaxVariant = "reference",
         kernel: str = "auto",
-        kernel_options: Optional[dict] = None,
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
     ) -> None:
@@ -75,8 +72,7 @@ class MultiHeadSelfAttention(Module):
         self.output = Linear(hidden_dim, hidden_dim, rng=rng)
         self.attn_dropout = Dropout(dropout, seed=seed)
 
-        self.set_softmax_variant(softmax_variant, kernel=kernel,
-                                 kernel_options=kernel_options)
+        self.set_softmax_variant(softmax_variant, kernel=kernel)
         #: Populated by :meth:`forward` when ``capture_scores`` is enabled:
         #: the raw scaled attention scores of the last call (for calibration
         #: and for feeding the hardware cost model with realistic data).
@@ -84,21 +80,18 @@ class MultiHeadSelfAttention(Module):
         self.capture_scores = False
 
     def set_softmax_variant(self, variant: str | SoftmaxVariant,
-                            kernel: str = "auto",
-                            kernel_options: Optional[dict] = None) -> None:
+                            kernel: str = "auto") -> None:
         """Switch the attention softmax implementation.
 
-        ``kernel`` (and the engine knobs in ``kernel_options``) select the
-        Softermax implementation when ``variant`` is the string
+        ``kernel`` selects the Softermax implementation when ``variant`` is the string
         ``"softermax"`` (every kernel in the registry's bit-accurate
         family produces identical outputs, so this only affects speed).
         """
         if isinstance(variant, str):
-            if variant == "softermax" and (kernel != "auto" or kernel_options):
+            if variant == "softermax" and kernel != "auto":
                 from repro.nn.functional import make_softermax_variant
 
-                variant = make_softermax_variant(kernel=kernel,
-                                                 kernel_options=kernel_options)
+                variant = make_softermax_variant(kernel=kernel)
             else:
                 variant = get_softmax_variant(variant)
         self.softmax_variant = variant

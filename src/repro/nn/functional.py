@@ -704,8 +704,7 @@ def softmax_forward_with_out(variant: SoftmaxVariant) -> Callable:
 
 def make_softermax_variant(config: SoftermaxConfig | None = None,
                            name: str = "softermax",
-                           kernel: str = "auto",
-                           kernel_options: dict | None = None) -> SoftmaxVariant:
+                           kernel: str = "auto") -> SoftmaxVariant:
     """Create a Softermax variant bound to a specific operating point.
 
     Parameters
@@ -715,18 +714,15 @@ def make_softermax_variant(config: SoftermaxConfig | None = None,
     name:
         Registry key of the resulting variant.
     kernel:
-        Named implementation from :mod:`repro.kernels` (``"auto"`` selects
-        the adaptive fused/blocked/parallel dispatcher; every kernel in
-        the bit-accurate family matches the ``"softermax-bit-accurate"``
-        oracle bit for bit).
-    kernel_options:
-        Engine knobs forwarded to the kernel factory (e.g. ``workers``,
-        ``block_rows``).
+        Named implementation from :mod:`repro.kernels`, options embedded
+        in the name (``"auto"`` names the native engine when built, else
+        fused; every kernel in the bit-accurate family matches the
+        ``"softermax-bit-accurate"`` oracle bit for bit).
     """
     from repro.kernels import resolve_kernel
 
     cfg = config or SoftermaxConfig.paper_table1()
-    kernel_fn = resolve_kernel(kernel, cfg, **(kernel_options or {}))
+    kernel_fn = resolve_kernel(kernel, cfg)
 
     def forward(scores: np.ndarray, out: Optional[np.ndarray] = None,
                 scratch=None) -> np.ndarray:

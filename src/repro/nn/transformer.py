@@ -67,7 +67,6 @@ class TransformerLayer(Module):
         dropout: float = 0.1,
         softmax_variant: str | SoftmaxVariant = "reference",
         kernel: str = "auto",
-        kernel_options: Optional[dict] = None,
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
     ) -> None:
@@ -75,8 +74,8 @@ class TransformerLayer(Module):
         rng = rng or np.random.default_rng(seed)
         self.attention = MultiHeadSelfAttention(
             hidden_dim, num_heads, dropout=dropout,
-            softmax_variant=softmax_variant, kernel=kernel,
-            kernel_options=kernel_options, rng=rng, seed=seed,
+            softmax_variant=softmax_variant, kernel=kernel, rng=rng,
+            seed=seed,
         )
         self.attention_norm = LayerNorm(hidden_dim)
         self.attention_dropout = Dropout(dropout, seed=seed)
@@ -95,10 +94,8 @@ class TransformerLayer(Module):
         return hidden
 
     def set_softmax_variant(self, variant: str | SoftmaxVariant,
-                            kernel: str = "auto",
-                            kernel_options: Optional[dict] = None) -> None:
-        self.attention.set_softmax_variant(variant, kernel=kernel,
-                                           kernel_options=kernel_options)
+                            kernel: str = "auto") -> None:
+        self.attention.set_softmax_variant(variant, kernel=kernel)
 
     def export_plan(self, builder, hidden_reg: str, prefix: str = "layer",
                     fuse_qkv: bool = False,
@@ -156,7 +153,6 @@ class TransformerEncoder(Module):
         dropout: float = 0.1,
         softmax_variant: str | SoftmaxVariant = "reference",
         kernel: str = "auto",
-        kernel_options: Optional[dict] = None,
         seed: Optional[int] = None,
     ) -> None:
         super().__init__()
@@ -165,8 +161,7 @@ class TransformerEncoder(Module):
         for i in range(num_layers):
             layer = TransformerLayer(
                 hidden_dim, num_heads, intermediate_dim, dropout=dropout,
-                softmax_variant=softmax_variant, kernel=kernel,
-                kernel_options=kernel_options, rng=rng,
+                softmax_variant=softmax_variant, kernel=kernel, rng=rng,
                 seed=None if seed is None else seed + i,
             )
             self.add_module(f"layer_{i}", layer)
@@ -181,12 +176,10 @@ class TransformerEncoder(Module):
         return hidden
 
     def set_softmax_variant(self, variant: str | SoftmaxVariant,
-                            kernel: str = "auto",
-                            kernel_options: Optional[dict] = None) -> None:
+                            kernel: str = "auto") -> None:
         """Switch the attention softmax of every layer at once."""
         for layer in self.layers:
-            layer.set_softmax_variant(variant, kernel=kernel,
-                                      kernel_options=kernel_options)
+            layer.set_softmax_variant(variant, kernel=kernel)
 
     #: Inference plans compiled from a bare encoder take pre-embedded
     #: hidden states as their runtime input (see ``InferencePlan.run``).

@@ -1,4 +1,4 @@
-"""Dynamic-batching inference serving on the adaptive Softermax engine.
+"""Dynamic-batching inference serving on the Softermax engine.
 
 ``repro.kernels`` makes a single softmax call fast; this subpackage turns
 single-tensor calls into a *served* workload, the regime the Softermax
@@ -8,7 +8,7 @@ paper targets (transformer inference at datacenter request rates):
   request queue plus ``max_batch_size`` / ``max_wait_ms`` coalescing.
 * :mod:`repro.serving.service` -- :class:`InferenceService`: accepts
   per-request token sequences, coalesces them into batches, runs
-  them through the BERT encoder / adaptive Softermax kernel as one
+  them through the BERT encoder / Softermax kernel as one
   forward, and returns per-request results.
 * :mod:`repro.serving.cache` -- the LRU response cache.
 * :mod:`repro.serving.stats` -- latency/throughput accounting (p50/p99,
@@ -22,8 +22,8 @@ paper targets (transformer inference at datacenter request rates):
   the micro-batcher, with per-request deadlines and typed overload
   responses.
 * :mod:`repro.serving.faults` -- deterministic fault injection (seeded
-  schedules of worker crashes, hangs, model errors, kernel-pool death,
-  plus the process-grade kill/stall/corrupt kinds) driving both the test
+  schedules of worker crashes, hangs and model errors, plus the
+  process-grade kill/stall/corrupt kinds) driving both the test
   suite and ``loadtest --chaos``.
 * :mod:`repro.serving.snapshot` -- checksummed, versioned shared-memory
   model snapshots (:class:`SnapshotBundle`): published once, attached

@@ -2,7 +2,7 @@
 
 The batcher is the heart of the serving layer's throughput win: requests
 arriving within a short window are coalesced into one batch so the
-encoder (and the adaptive Softermax kernel under it) amortizes per-call
+encoder (and the Softermax kernel under it) amortizes per-call
 overhead over many requests.  Policy:
 
 * a batch closes as soon as it holds ``max_batch_size`` requests, or

@@ -23,11 +23,6 @@ Fault kinds (per model forward call):
     Raise :class:`InjectedModelError` (a plain ``RuntimeError``): the
     batch fails typed but the worker survives -- the PR 3 isolation
     semantics, distinct from a crash.
-``"pool"``
-    Terminate any live multiprocessing kernel pools owned by this process
-    before computing, exercising the kernel registry's pool
-    crash-rebuild-fallback path (a no-op where no pool is live, e.g. the
-    1-core CI box).
 
 Process-grade fault kinds (sharded serving workers,
 :mod:`repro.serving.shard`; in-thread services reject them):
@@ -51,6 +46,8 @@ Process-grade fault kinds (sharded serving workers,
 New kinds are appended to :data:`FAULT_KINDS` so schedules drawn by
 :meth:`FaultSchedule.from_seed` with the original kinds are unchanged --
 one uniform draw per call index, thresholds accumulated in tuple order.
+For the same reason a kind is only ever removed while no caller gives it
+a nonzero rate: its term in the threshold sum is then zero.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ from repro.serving.batcher import WorkerCrashError
 #: kinds append at the end: :meth:`FaultSchedule.from_seed` accumulates
 #: thresholds in this order, so appending (with a default rate of 0)
 #: never moves an existing kind's faults to different call indices.
-FAULT_KINDS = ("crash", "hang", "error", "pool", "kill", "stall", "corrupt")
+FAULT_KINDS = ("crash", "hang", "error", "kill", "stall", "corrupt")
 
 #: The process-grade subset: only meaningful where the worker is a
 #: process (``repro.serving.shard``); :class:`FaultyModel` requires a
@@ -123,9 +120,8 @@ class FaultSchedule:
     @classmethod
     def from_seed(cls, seed: int, num_calls: int,
                   crash_rate: float = 0.0, hang_rate: float = 0.0,
-                  error_rate: float = 0.0, pool_rate: float = 0.0,
-                  kill_rate: float = 0.0, stall_rate: float = 0.0,
-                  corrupt_rate: float = 0.0,
+                  error_rate: float = 0.0, kill_rate: float = 0.0,
+                  stall_rate: float = 0.0, corrupt_rate: float = 0.0,
                   hang_seconds: float = 0.25,
                   skip_first: int = 1) -> "FaultSchedule":
         """Draw a schedule over ``num_calls`` forward calls.
@@ -139,8 +135,7 @@ class FaultSchedule:
         the healthy path).
         """
         rates = {"crash": crash_rate, "hang": hang_rate,
-                 "error": error_rate, "pool": pool_rate,
-                 "kill": kill_rate, "stall": stall_rate,
+                 "error": error_rate, "kill": kill_rate, "stall": stall_rate,
                  "corrupt": corrupt_rate}
         for kind, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
@@ -184,32 +179,6 @@ class FaultSchedule:
             "faults": [{"call_index": f.call_index, "kind": f.kind,
                         "seconds": f.seconds} for f in self.faults()],
         }
-
-
-def kill_live_kernel_pools() -> int:
-    """Terminate multiprocessing kernel pools owned by this process.
-
-    Simulates kernel-pool death (workers OOM-killed, cgroup teardown, ...)
-    so the registry's PID-guard/rebuild logic is exercisable on demand.
-    Returns the number of pools killed -- 0 where none were live, which is
-    the normal case on a 1-core box where the adaptive kernel never
-    dispatches to the pool.
-    """
-    import os
-
-    from repro.kernels import parallel
-
-    killed = 0
-    pid = os.getpid()
-    for owner_pid, pool in list(parallel._LIVE_POOLS):
-        if owner_pid != pid:
-            continue
-        try:
-            pool.terminate()
-            killed += 1
-        except Exception:  # pragma: no cover - teardown best-effort
-            pass
-    return killed
 
 
 class FaultyModel:
@@ -271,8 +240,6 @@ class FaultyModel:
                     f"injected model error at forward call {index}")
             if fault.kind == "hang":
                 self._sleep(fault.seconds)
-            elif fault.kind == "pool":
-                kill_live_kernel_pools()
             elif fault.kind in PROCESS_FAULT_KINDS:
                 hook = self._process_hooks.get(fault.kind)
                 if hook is None:

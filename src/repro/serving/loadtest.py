@@ -100,7 +100,6 @@ def run_loadtest(
     service: Optional[InferenceService] = None,
     model_name: str = "tiny-base",
     kernel: str = "auto",
-    kernel_options: Optional[dict] = None,
     engine: str = "plan",
     block_kv: Optional[int] = None,
     seed: int = 0,
@@ -126,7 +125,6 @@ def run_loadtest(
                                engine=engine,
                                block_kv=block_kv)
         service = build_encoder_service(model_name=model_name, kernel=kernel,
-                                        kernel_options=kernel_options,
                                         seed=seed, config=config)
     else:
         batch_size = service.config.max_batch_size
@@ -134,7 +132,7 @@ def run_loadtest(
     try:
         if own_service:
             service.start()
-        # Warm the kernel LUTs/pools outside the timed window.
+        # Warm the kernel LUTs outside the timed window.
         service.infer(requests[0], timeout=timeout)
         service.cache.clear()
         service.stats.start()

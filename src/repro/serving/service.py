@@ -5,7 +5,7 @@ sequences from any thread; a single worker thread pulls coalesced
 micro-batches from the :class:`~repro.serving.batcher.MicroBatcher`, runs
 them through the encoder's ragged-batch entry point
 (:meth:`~repro.models.bert.BertEncoderModel.encode_ragged` -- packed
-token rows, exact attention masking, one adaptive-Softermax forward per
+token rows, exact attention masking, one Softermax forward per
 batch) and
 completes each request with its own slice of the result.
 
@@ -395,15 +395,14 @@ class InferenceService:
 def build_encoder_model(
     model_name: str = "tiny-base",
     kernel: str = "auto",
-    kernel_options: Optional[dict] = None,
     seed: int = 0,
 ):
     """Construct the Softermax BERT encoder the serving stack runs.
 
     The encoder runs the bit-accurate Softermax attention (``"softermax"``
-    variant) through the requested kernel -- ``"auto"`` resolves to the
-    adaptive fused/blocked/parallel dispatcher, which is the configuration
-    the serving benchmarks record.
+    variant) through the requested kernel -- ``"auto"`` names the native
+    engine when built, else fused, which is the configuration the serving
+    benchmarks record.
     """
     from repro.models import BertConfig
     from repro.models.bert import BertEncoderModel
@@ -420,19 +419,17 @@ def build_encoder_model(
             "tiny-large or tiny-long (the published geometries are "
             "cost-model descriptors, not runnable NumPy models)")
     return BertEncoderModel(model_config, softmax_variant="softermax",
-                            kernel=kernel, kernel_options=kernel_options,
-                            seed=seed).eval()
+                            kernel=kernel, seed=seed).eval()
 
 
 def build_encoder_service(
     model_name: str = "tiny-base",
     kernel: str = "auto",
-    kernel_options: Optional[dict] = None,
     seed: int = 0,
     config: ServiceConfig = ServiceConfig(),
 ):
     """Construct an :class:`InferenceService` over a Softermax BERT encoder
     (see :func:`build_encoder_model` for the encoder configuration)."""
     model = build_encoder_model(model_name=model_name, kernel=kernel,
-                                kernel_options=kernel_options, seed=seed)
+                                seed=seed)
     return InferenceService(model, config)

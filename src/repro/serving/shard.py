@@ -165,7 +165,7 @@ def _worker_main(spec: dict, schedule: Optional[FaultSchedule],
             os._exit(EXIT_CORRUPT)
         model = build_encoder_model(
             model_name=spec["model_name"], kernel=spec["kernel"],
-            kernel_options=spec["kernel_options"], seed=spec["seed"])
+            seed=spec["seed"])
         bind_snapshot_arrays(model, bundle.arrays())
         stalled = threading.Event()
         if schedule is not None:
@@ -235,8 +235,7 @@ class ShardedInferenceService(InferenceService):
     published (once) into the shared-memory snapshot, and its config
     drives submit-time validation.  The parent never runs a forward --
     every batch is dispatched to a shard worker process rebuilt from
-    ``model_name``/``kernel``/``kernel_options``/``seed`` and bound to
-    the published snapshot.
+    ``model_name``/``kernel``/``seed`` and bound to the published snapshot.
 
     ``fault_spec`` (chaos only) is the keyword dict for
     :meth:`~repro.serving.faults.FaultSchedule.from_seed`; each spawn
@@ -250,7 +249,7 @@ class ShardedInferenceService(InferenceService):
                  policy: RestartPolicy = RestartPolicy(),
                  num_workers: int = 2,
                  model_name: str = "tiny-base", kernel: str = "auto",
-                 kernel_options: Optional[dict] = None, seed: int = 0,
+                 seed: int = 0,
                  mp_context: str = "fork",
                  fault_spec: Optional[dict] = None) -> None:
         if num_workers < 1:
@@ -262,7 +261,6 @@ class ShardedInferenceService(InferenceService):
         self.num_workers = num_workers
         self._model_name = model_name
         self._kernel = kernel
-        self._kernel_options = kernel_options
         self._seed = seed
         self._mp = multiprocessing.get_context(mp_context)
         self._fault_spec = dict(fault_spec) if fault_spec else None
@@ -414,7 +412,6 @@ class ShardedInferenceService(InferenceService):
             "manifest": self._bundle.manifest,
             "model_name": self._model_name,
             "kernel": self._kernel,
-            "kernel_options": self._kernel_options,
             "seed": self._seed,
             "engine_kwargs": dict(self._engine_kwargs),
             "pad_id": self.config.pad_id,
@@ -678,7 +675,6 @@ class ShardedInferenceService(InferenceService):
 def build_sharded_service(
     model_name: str = "tiny-base",
     kernel: str = "auto",
-    kernel_options: Optional[dict] = None,
     seed: int = 0,
     config: ServiceConfig = ServiceConfig(),
     policy: RestartPolicy = RestartPolicy(),
@@ -691,9 +687,8 @@ def build_sharded_service(
     same builder arguments rebuild the model inside every worker, which
     then rebinds to the published snapshot."""
     model = build_encoder_model(model_name=model_name, kernel=kernel,
-                                kernel_options=kernel_options, seed=seed)
+                                seed=seed)
     return ShardedInferenceService(
         model, config, policy, num_workers=num_workers,
-        model_name=model_name, kernel=kernel,
-        kernel_options=kernel_options, seed=seed,
+        model_name=model_name, kernel=kernel, seed=seed,
         mp_context=mp_context, fault_spec=fault_spec)

@@ -1,8 +1,8 @@
 """Actor-style supervision for the inference worker.
 
-:class:`SupervisedService` generalizes the PR 3 kernel-pool
-PID-guard/rebuild logic into a reusable policy: a monitor thread owns the
-inference worker, heartbeat-health-checks it, and on **crash** (a
+:class:`SupervisedService` is the restart policy for the in-thread
+worker: a monitor thread owns the inference worker, heartbeat-health-checks
+it, and on **crash** (a
 :class:`~repro.serving.batcher.WorkerCrashError` escaping the worker loop)
 or **hang** (a batch stuck inside the model forward past
 ``hang_timeout_s``) replaces it -- requeueing the in-flight batch at the
@@ -354,7 +354,6 @@ class SupervisedService(InferenceService):
 def build_supervised_service(
     model_name: str = "tiny-base",
     kernel: str = "auto",
-    kernel_options: Optional[dict] = None,
     seed: int = 0,
     config: ServiceConfig = ServiceConfig(),
     policy: RestartPolicy = RestartPolicy(),
@@ -368,7 +367,7 @@ def build_supervised_service(
     guarantees instead of asserting them by hand.
     """
     model = build_encoder_model(model_name=model_name, kernel=kernel,
-                                kernel_options=kernel_options, seed=seed)
+                                seed=seed)
     if fault_schedule is not None:
         from repro.serving.faults import FaultyModel
 

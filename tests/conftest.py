@@ -15,25 +15,6 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def pin_cpu_count(monkeypatch):
-    """Pin the host core count the kernel dispatcher sees.
-
-    ``pin_cpu_count(n)`` patches ``os.cpu_count`` and drops the cached
-    :func:`repro.kernels.registry.host_cores` reading so the next dispatch
-    sees ``n``; teardown drops it again, so the real count is re-read once
-    the patch is undone.
-    """
-    from repro.kernels.registry import host_cores
-
-    def pin(count) -> None:
-        monkeypatch.setattr("os.cpu_count", lambda: count)
-        host_cores.cache_clear()
-
-    yield pin
-    host_cores.cache_clear()
-
-
-@pytest.fixture
 def paper_config() -> SoftermaxConfig:
     """The paper's Table I operating point."""
     return SoftermaxConfig.paper_table1()

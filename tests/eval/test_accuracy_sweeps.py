@@ -109,19 +109,23 @@ class TestSweepDrivers:
             assert point.max_abs_error < 0.05
             assert 0.0 <= point.argmax_agreement <= 1.0
 
-    def test_softermax_error_sweep_accepts_kernel_options(self):
-        base = softermax_error_sweep(seq_lens=(32,), batch=4)
-        blocked = softermax_error_sweep(seq_lens=(32,), batch=4,
-                                        kernel="softermax-blocked",
-                                        kernel_options={"block_rows": 2})
-        # Bit-accurate family: identical numbers regardless of engine knobs.
-        assert blocked[0] == base[0]
+    def test_softermax_error_sweep_accepts_kernel_names(self):
+        base = softermax_error_sweep(seq_lens=(32,), batch=4,
+                                     kernel="softermax-bit-accurate")
+        for kernel in ("softermax-fused", "auto"):
+            points = softermax_error_sweep(seq_lens=(32,), batch=4,
+                                           kernel=kernel)
+            # Bit-accurate family: identical numbers regardless of engine.
+            assert points[0] == base[0], kernel
+        lstsq = softermax_error_sweep(seq_lens=(32,), batch=4,
+                                      kernel="auto(lpw_method=lstsq)")
+        assert lstsq[0] != base[0]
 
     def test_kernel_timing_sweep_records_memory_and_options(self):
         from repro.eval import kernel_timing_sweep
 
         points = kernel_timing_sweep(
-            kernels=("softermax-fused", "softermax-blocked(block_rows=4)"),
+            kernels=("softermax-fused", "auto(lpw_method=lstsq)"),
             seq_lens=(64,), batches=(4,), repeats=1, min_calls=1)
         assert len(points) == 2
         for point in points:

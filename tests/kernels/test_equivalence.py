@@ -8,14 +8,12 @@ list is pulled from the registry at collection time, so a newly registered
 bit-accurate kernel is pinned to the oracle automatically (via its spec's
 ``runner_factory``).  On top of that, every registered kernel must behave
 like a softmax (probabilities in [0, 1], rows summing to ~1, permutation
-equivariance along the reduction axis), and the blocked/parallel engines
-get dedicated cases: block boundaries with no relationship to the slice
-width, single-row blocks, and more workers than rows.
+equivariance along the reduction axis).  The ``"auto"`` alias rides along
+every engine case, so whatever it names on this box (native when built,
+fused otherwise) is pinned to the oracle too.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -23,15 +21,12 @@ import pytest
 from repro.core import SoftermaxConfig, SoftermaxPipeline
 from repro.fixedpoint import QFormat
 from repro.kernels import (
-    BlockedSoftermaxKernel,
     FusedSoftermaxKernel,
     KernelWorkspace,
     available_kernels,
     fused_softermax,
-    get_blocked_kernel,
     get_fused_kernel,
     get_kernel,
-    get_parallel_kernel,
     output_allocation_count,
     resolve_kernel,
 )
@@ -62,18 +57,14 @@ CONFIGS = {
 
 SHAPES = [(16,), (1, 16), (3, 33), (2, 2, 40), (2, 3, 4, 24), (5, 96), (4, 512)]
 
-#: Every bit-accurate kernel in the registry with full-intermediate access.
-#: Automatically includes kernels added by later PRs: registering a
-#: bit-accurate kernel without a runner_factory fails the registry test
-#: below, and registering one with it pins it to the oracle here.
+#: Every bit-accurate kernel in the registry with full-intermediate access,
+#: plus the ``"auto"`` alias.  Automatically includes kernels added later:
+#: registering a bit-accurate kernel without a runner_factory fails the
+#: registry test, and registering one with it pins it to the oracle here.
 BIT_ACCURATE = sorted(
     name for name in available_kernels()
     if get_kernel(name).bit_accurate and name != "softermax-bit-accurate"
-)
-
-#: Per-kernel options for the equivalence matrix: the parallel kernel must
-#: exercise the real worker path even on a single-core box.
-RUNNER_OPTIONS = {"softermax-parallel": {"workers": 2}}
+) + ["auto"]
 
 
 def _runner(name: str, config):
@@ -81,7 +72,7 @@ def _runner(name: str, config):
     assert spec.runner_factory is not None, (
         f"bit-accurate kernel {name!r} must expose a runner_factory so the "
         "equivalence suite can pin its intermediates to the oracle")
-    return spec.runner_factory(config, **RUNNER_OPTIONS.get(name, {}))
+    return spec.runner_factory(config)
 
 
 def _assert_bitwise_equal(pipeline, kernel, x):
@@ -173,86 +164,13 @@ def test_fused_kernel_memoized_per_config():
     assert isinstance(fused_softermax(np.zeros((2, 8))), np.ndarray)
 
 
-# --------------------------------------------------------------------------- #
-# blocked/parallel-specific cases
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("block_rows", [1, 3, 5, 7])
-def test_blocked_boundaries_unaligned_to_slice_width(rng, block_rows):
-    """Row-block cuts have no relationship to the hardware slice width.
-
-    13 rows of length 77 with slice width 32: the row tail is a partial
-    slice, the row count is prime relative to every block size, and the
-    final block is partial for every block_rows tested -- including
-    single-row blocks.
-    """
-    config = SoftermaxConfig.paper_table1()
-    pipeline = SoftermaxPipeline(config)
-    kernel = BlockedSoftermaxKernel(config, block_rows=block_rows)
-    x = rng.normal(0.0, 6.0, size=(13, 77))
-    _assert_bitwise_equal(pipeline, kernel, x)
-
-
-def test_blocked_scratch_reused_across_calls(rng, paper_config):
-    """Repeated same-shape calls must not grow the built-in workspace."""
-    kernel = BlockedSoftermaxKernel(paper_config, block_rows=4)
-    x = rng.normal(0.0, 5.0, size=(16, 96))
-    kernel(x)
-    reallocs = kernel._workspace.reallocs
-    nbytes = kernel._workspace.nbytes
-    out_a = kernel(x)
-    assert kernel._workspace.reallocs == reallocs
-    assert kernel._workspace.nbytes == nbytes
-    # Growing shapes reallocate; shrinking ones reuse the larger scratch.
-    kernel(rng.normal(size=(32, 128)))
-    assert kernel._workspace.nbytes >= nbytes
-    reallocs = kernel._workspace.reallocs
-    out_b = kernel(x)
-    assert kernel._workspace.reallocs == reallocs
-    assert np.array_equal(out_a, out_b)
-
-
-def test_blocked_kernel_memoized_per_signature():
-    a = get_blocked_kernel(SoftermaxConfig.paper_table1())
-    b = get_blocked_kernel(SoftermaxConfig.paper_table1())
-    c = get_blocked_kernel(SoftermaxConfig.paper_table1(), 8)
-    assert a is b
-    assert a is not c
-    assert c.block_rows == 8
-
-
-def test_blocked_rejects_bad_block_rows(paper_config):
-    with pytest.raises(ValueError):
-        BlockedSoftermaxKernel(paper_config, block_rows=0)
-
-
-def test_parallel_workers_exceed_rows(rng, paper_config):
-    """More workers than rows: surplus workers idle, bits unchanged."""
-    pipeline = SoftermaxPipeline(paper_config)
-    kernel = get_parallel_kernel(paper_config, 4)
-    x = rng.normal(0.0, 6.0, size=(2, 80))
-    assert np.array_equal(kernel(x), pipeline(x))
-    # A single row short-circuits to the in-process blocked engine.
-    y = rng.normal(0.0, 6.0, size=(1, 80))
-    assert np.array_equal(kernel(y), pipeline(y))
-    z = rng.normal(0.0, 6.0, size=80)
-    assert np.array_equal(kernel(z), pipeline(z))
-
-
-def test_parallel_matches_oracle_through_worker_path(rng, paper_config):
-    pipeline = SoftermaxPipeline(paper_config)
-    kernel = get_parallel_kernel(paper_config, 2, 3)  # block_rows=3 too
-    x = rng.normal(0.0, 6.0, size=(3, 5, 40))
-    assert np.array_equal(kernel(x), pipeline(x))
-    assert np.array_equal(kernel(x, axis=1), pipeline(x, axis=1))
-
-
 @pytest.mark.parametrize("name", BIT_ACCURATE)
 def test_bit_accurate_degenerate_shapes(rng, paper_config, name):
-    """Zero-row batches, 1-D inputs and rows < workers all match the oracle.
+    """Zero-row batches, 1-D inputs and tiny batches all match the oracle.
 
     These are the shapes a serving layer actually produces between real
-    batches (empty flushes, single requests, tiny coalesced batches on a
-    wide pool), so every bit-accurate kernel must handle them.
+    batches (empty flushes, single requests, tiny coalesced batches), so
+    every bit-accurate kernel must handle them.
     """
     pipeline = SoftermaxPipeline(paper_config)
     kernel = _runner(name, paper_config)
@@ -260,147 +178,13 @@ def test_bit_accurate_degenerate_shapes(rng, paper_config, name):
         np.zeros((0, 16)),                     # zero rows
         np.zeros((0, 3, 24)),                  # zero rows, extra lead dims
         rng.normal(0.0, 6.0, size=37),         # 1-D input
-        rng.normal(0.0, 6.0, size=(3, 40)),    # rows < typical worker count
+        rng.normal(0.0, 6.0, size=(3, 40)),    # a tiny coalesced batch
     ]
     for x in cases:
         got = kernel(x)
         expected = pipeline(x)
         assert got.shape == expected.shape, (name, x.shape)
         assert np.array_equal(got, expected), (name, x.shape)
-
-
-# --------------------------------------------------------------------------- #
-# parallel-engine lifecycle: memoization, crash recovery, fork safety
-# --------------------------------------------------------------------------- #
-def test_parallel_kernel_memoization_normalizes_defaults(paper_config):
-    """Spelling a default explicitly must not create a second worker pool."""
-    from repro.kernels.parallel import DEFAULT_WORKERS
-
-    implicit = get_parallel_kernel(paper_config)
-    explicit = get_parallel_kernel(paper_config, os.cpu_count() or 1)
-    assert DEFAULT_WORKERS == (os.cpu_count() or 1)
-    assert implicit is explicit
-    # config=None normalizes to the default config.
-    from repro.core.config import DEFAULT_CONFIG
-
-    assert get_parallel_kernel(None, 2) is get_parallel_kernel(DEFAULT_CONFIG, 2)
-    # Distinct effective configurations still get distinct kernels.
-    assert get_parallel_kernel(paper_config, 2) \
-        is not get_parallel_kernel(paper_config, 3)
-    with pytest.raises(ValueError):
-        get_parallel_kernel(paper_config, 0)
-
-
-class _FailingPool:
-    """A pool stand-in whose map always fails (a crashed/broken pool)."""
-
-    def __init__(self):
-        self.terminated = False
-
-    def map(self, *args, **kwargs):
-        raise RuntimeError("worker died")
-
-    def terminate(self):
-        self.terminated = True
-
-    def join(self):
-        pass
-
-
-def test_parallel_recovers_after_pool_breaks(rng, paper_config):
-    """A broken pool is torn down and rebuilt; the call still succeeds."""
-    from repro.kernels.parallel import ParallelSoftermaxKernel, _LIVE_POOLS
-
-    pipeline = SoftermaxPipeline(paper_config)
-    kernel = ParallelSoftermaxKernel(paper_config, workers=2)
-    x = rng.normal(0.0, 6.0, size=(6, 48))
-    try:
-        assert np.array_equal(kernel(x), pipeline(x))
-        # Break the live pool behind the kernel's back.
-        broken = _FailingPool()
-        entry = (kernel._pool_pid, kernel._pool)
-        if entry in _LIVE_POOLS:
-            _LIVE_POOLS.remove(entry)
-        kernel._pool.terminate()
-        kernel._pool.join()
-        kernel._pool = broken
-        _LIVE_POOLS.append((os.getpid(), broken))
-        # The next call must tear the broken pool down, rebuild once, and
-        # still produce oracle bits.
-        assert np.array_equal(kernel(x), pipeline(x))
-        assert broken.terminated
-        assert kernel._pool is not broken and kernel._pool is not None
-        # The rebuilt pool is a real one: a second call works too.
-        assert np.array_equal(kernel(x), pipeline(x))
-    finally:
-        kernel.close()
-
-
-def test_parallel_falls_back_to_blocked_when_rebuild_fails(rng, paper_config,
-                                                           monkeypatch):
-    """If the rebuilt pool fails as well, the blocked engine answers."""
-    from repro.kernels.parallel import ParallelSoftermaxKernel
-
-    pipeline = SoftermaxPipeline(paper_config)
-    kernel = ParallelSoftermaxKernel(paper_config, workers=2)
-    monkeypatch.setattr(kernel, "_ensure_pool", lambda: _FailingPool())
-    x = rng.normal(0.0, 6.0, size=(5, 64))
-    try:
-        assert np.array_equal(kernel(x), pipeline(x))
-    finally:
-        kernel.close()
-
-
-def test_parallel_terminated_pool_is_rebuilt(rng, paper_config):
-    """pool.terminate() from outside (a real crash mode) is recovered."""
-    from repro.kernels.parallel import ParallelSoftermaxKernel
-
-    pipeline = SoftermaxPipeline(paper_config)
-    kernel = ParallelSoftermaxKernel(paper_config, workers=2)
-    x = rng.normal(0.0, 6.0, size=(4, 40))
-    try:
-        assert np.array_equal(kernel(x), pipeline(x))
-        kernel._pool.terminate()  # map() on a terminated pool raises
-        assert np.array_equal(kernel(x), pipeline(x))
-    finally:
-        kernel.close()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
-def test_parallel_pool_handle_rebuilt_across_fork(rng, paper_config):
-    """A pool handle inherited across fork is rebuilt, not reused.
-
-    The child must (a) produce oracle bits through its own pool and (b)
-    leave the parent's pool untouched -- the parent keeps computing
-    through its original pool afterwards.
-    """
-    from repro.kernels.parallel import ParallelSoftermaxKernel
-
-    pipeline = SoftermaxPipeline(paper_config)
-    kernel = ParallelSoftermaxKernel(paper_config, workers=2)
-    x = rng.normal(0.0, 6.0, size=(4, 48))
-    expected = pipeline(x)
-    try:
-        assert np.array_equal(kernel(x), expected)
-        parent_pool = kernel._pool
-        pid = os.fork()
-        if pid == 0:  # child
-            status = 1
-            try:
-                if np.array_equal(kernel(x), expected) \
-                        and kernel._pool is not parent_pool:
-                    status = 0
-                kernel.close()
-            finally:
-                os._exit(status)
-        _, wait_status = os.waitpid(pid, 0)
-        assert wait_status == 0, \
-            "child failed to rebuild the inherited pool handle"
-        # The parent's pool survived the child's lifecycle.
-        assert kernel._pool is parent_pool
-        assert np.array_equal(kernel(x), expected)
-    finally:
-        kernel.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -483,9 +267,8 @@ def test_out_mode_steady_state_performs_no_output_allocations(rng,
                                                               paper_config):
     """out= + scratch= means zero allocation traffic at the kernel boundary
     (the serving fast path's contract, also asserted by bench_encoder)."""
-    for factory in (lambda: get_fused_kernel(paper_config),
-                    lambda: get_blocked_kernel(paper_config, 4)):
-        kernel = factory()
+    for name in BIT_ACCURATE:
+        kernel = _runner(name, paper_config)
         ws = KernelWorkspace()
         x = rng.normal(0.0, 6.0, size=(8, 64))
         out = np.empty_like(x)
@@ -573,7 +356,7 @@ def test_kernel_permutation_equivariant(rng, name):
 
 
 @pytest.mark.parametrize("name", ["softermax-bit-accurate", "softermax-fused",
-                                  "softermax-blocked"])
+                                  "auto"])
 def test_softermax_single_slice_permutation_exact(rng, name):
     """Within one hardware slice the datapath is order-independent.
 
@@ -594,8 +377,8 @@ def test_bit_accurate_kernels_agree_through_registry(rng):
     config = SoftermaxConfig.paper_table1()
     x = rng.normal(0.0, 6.0, size=(4, 4, 80))
     outputs = [resolve_kernel(name, config)(x, axis=-1)
-               for name in available_kernels()
+               for name in [*available_kernels(), "auto"]
                if get_kernel(name).bit_accurate]
-    assert len(outputs) >= 4
+    assert len(outputs) >= 3
     for other in outputs[1:]:
         assert np.array_equal(outputs[0], other)

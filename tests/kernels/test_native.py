@@ -4,8 +4,8 @@ Bitwise equivalence against the oracle is pinned by
 ``tests/kernels/test_equivalence.py`` through the registry's
 ``runner_factory`` mechanism; this module covers what that matrix cannot:
 import/fallback behavior, the ``REPRO_DISABLE_NATIVE`` kill switch (in a
-subprocess, since the guard runs at import time), adaptive selection with
-the extension present and absent, and the staging path for strided /
+subprocess, since the guard runs at import time), what the ``"auto"``
+alias names with the extension present and absent, and the staging path for strided /
 non-last-axis inputs.  Everything that needs the ``.so`` is gated with
 ``skipif``, so the suite is green on a box that never built the extension.
 """
@@ -25,13 +25,12 @@ import pytest
 import repro.kernels.registry as registry_module
 from repro.core import SoftermaxConfig, SoftermaxPipeline
 from repro.kernels import (
-    AdaptiveSoftermaxKernel,
     KernelWorkspace,
     NativeSoftermaxKernel,
     auto_kernel_choice,
     available_kernels,
-    dispatch_candidates,
     get_fused_kernel,
+    get_kernel,
     get_native_kernel,
     native_available,
     native_softermax,
@@ -58,7 +57,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 def test_availability_and_registration_agree():
     assert ("softermax-native" in available_kernels()) == NATIVE
-    assert ("softermax-native" in dispatch_candidates()) == NATIVE
+    assert (get_kernel("auto").name == "softermax-native") == NATIVE
 
 
 def test_wrapper_importable_without_extension():
@@ -111,7 +110,7 @@ def test_kill_switch_zero_and_empty_mean_enabled():
 
 
 # --------------------------------------------------------------------------- #
-# adaptive selection, with and without the backend
+# the auto alias, with and without the backend
 # --------------------------------------------------------------------------- #
 
 def test_auto_choice_prefers_native_when_registered(monkeypatch):
@@ -120,21 +119,22 @@ def test_auto_choice_prefers_native_when_registered(monkeypatch):
         monkeypatch.setitem(registry_module._KERNELS, "softermax-native",
                             replace(spec, name="softermax-native"))
     assert auto_kernel_choice(8, 64) == "softermax-native"
-    assert auto_kernel_choice(1024, 2048, workers=1) == "softermax-native"
+    assert auto_kernel_choice(1024, 2048) == "softermax-native"
+    assert get_kernel("auto") is registry_module._KERNELS["softermax-native"]
 
 
 def test_auto_choice_degrades_when_backend_absent(monkeypatch):
     monkeypatch.delitem(registry_module._KERNELS, "softermax-native",
                         raising=False)
     assert auto_kernel_choice(8, 64) == "softermax-fused"
-    assert auto_kernel_choice(1024, 2048, workers=1) == "softermax-blocked"
+    assert auto_kernel_choice(1024, 2048) == "softermax-fused"
+    assert get_kernel("auto") is get_kernel("softermax-fused")
 
 
 @needs_native
-def test_adaptive_kernel_routes_to_native_instance():
-    adaptive = AdaptiveSoftermaxKernel()
-    kernel = adaptive._kernel_for(auto_kernel_choice(8, 64, workers=1))
-    assert isinstance(kernel, NativeSoftermaxKernel)
+def test_auto_resolves_to_native_instance():
+    kernel = resolve_kernel("auto")
+    assert isinstance(kernel.__self__, NativeSoftermaxKernel)
 
 
 # --------------------------------------------------------------------------- #

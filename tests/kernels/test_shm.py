@@ -1,7 +1,7 @@
 """The version-guarded shared-memory tracker helpers (repro.kernels.shm).
 
-Both shm consumers (the parallel kernel and the serving snapshot bundle)
-route their attach path through these helpers, so the CPython
+The serving snapshot bundle routes its attach path through these
+helpers, so the CPython
 ``resource_tracker`` workaround lives -- and is tested -- in one place.
 """
 

@@ -69,21 +69,25 @@ class TestMultiHeadSelfAttention:
                                       softmax_variant=get_softmax_variant("base2"))
         assert attn.softmax_variant.name == "base2"
 
-    def test_kernel_options_thread_through(self, rng):
-        """Engine knobs select a different engine but identical bits."""
+    def test_name_options_thread_through(self, rng):
+        """Every engine yields identical bits, and an option embedded in
+        the kernel name reaches the kernel."""
         x = Tensor(rng.normal(size=(1, 8, 16)) * 3.0)
-        outputs = []
-        for kernel, options in [("softermax-bit-accurate", None),
-                                ("softermax-blocked", {"block_rows": 2}),
-                                ("auto", {"workers": 1, "block_rows": 3})]:
+        outputs = {}
+        for kernel in ("softermax-bit-accurate", "softermax-fused", "auto",
+                       "softermax-fused(lpw_method=lstsq)",
+                       "auto(lpw_method=lstsq)"):
             attn = MultiHeadSelfAttention(16, 4, dropout=0.0, seed=0,
                                           softmax_variant="softermax",
-                                          kernel=kernel,
-                                          kernel_options=options)
+                                          kernel=kernel)
             attn.eval()
-            outputs.append(attn(x).data)
-        assert np.array_equal(outputs[0], outputs[1])
-        assert np.array_equal(outputs[0], outputs[2])
+            outputs[kernel] = attn(x).data
+        oracle = outputs["softermax-bit-accurate"]
+        assert np.array_equal(outputs["softermax-fused"], oracle)
+        assert np.array_equal(outputs["auto"], oracle)
+        lstsq = outputs["softermax-fused(lpw_method=lstsq)"]
+        assert np.array_equal(outputs["auto(lpw_method=lstsq)"], lstsq)
+        assert not np.array_equal(lstsq, oracle)
 
     def test_gradients_flow_to_all_projections(self, rng):
         attn = MultiHeadSelfAttention(16, 4, dropout=0.0, seed=0)

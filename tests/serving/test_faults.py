@@ -45,6 +45,51 @@ def test_changing_one_rate_never_moves_another_kinds_faults():
     assert any(f.kind == "hang" for f in more_hangs.faults())
 
 
+#: ``FaultSchedule.from_seed(...).summary()["faults"]`` for the two chaos
+#: settings CI runs (``scripts/ci.sh``), as (call_index, kind) pairs.  The
+#: in-thread smoke is ``loadtest --chaos --quick --seed 2`` (96 requests ->
+#: 208 call slots, default crash/hang/error rates); the sharded smoke is
+#: ``--requests 64 --kill-rate 0.15 --stall-rate 0.05 --corrupt-rate 0.05
+#: --seed 2`` (144 call slots, default error rate).  Removing a zero-rate
+#: kind from FAULT_KINDS must leave both unchanged.
+CI_CHAOS_SCHEDULE = [
+    (3, "hang"), (7, "crash"), (28, "hang"), (29, "hang"), (48, "hang"),
+    (49, "crash"), (63, "hang"), (64, "crash"), (66, "hang"), (80, "crash"),
+    (84, "crash"), (86, "crash"), (88, "hang"), (89, "crash"), (93, "crash"),
+    (97, "crash"), (106, "crash"), (110, "crash"), (117, "crash"),
+    (120, "hang"), (133, "crash"), (140, "hang"), (141, "crash"),
+    (148, "hang"), (155, "hang"), (182, "hang"), (184, "crash"),
+    (187, "crash"), (194, "crash"), (196, "crash"),
+]
+CI_SHARDED_CHAOS_SCHEDULE = [
+    (3, "kill"), (6, "stall"), (7, "kill"), (11, "kill"), (19, "stall"),
+    (28, "kill"), (29, "kill"), (30, "stall"), (47, "stall"), (48, "kill"),
+    (49, "kill"), (59, "stall"), (60, "stall"), (61, "stall"), (63, "kill"),
+    (64, "error"), (66, "kill"), (77, "corrupt"), (80, "kill"),
+    (84, "error"), (86, "error"), (88, "kill"), (89, "kill"), (93, "kill"),
+    (97, "error"), (98, "kill"), (99, "stall"), (106, "kill"),
+    (107, "stall"), (110, "kill"), (111, "stall"), (117, "kill"),
+    (120, "kill"), (121, "corrupt"), (133, "kill"), (137, "stall"),
+    (140, "kill"), (141, "error"),
+]
+
+
+def test_ci_chaos_schedules_are_pinned():
+    chaos = FaultSchedule.from_seed(
+        2, 208, crash_rate=0.08, hang_rate=0.04, error_rate=0.02,
+        hang_seconds=0.4, skip_first=2).summary()["faults"]
+    assert chaos == [
+        {"call_index": index, "kind": kind,
+         "seconds": 0.4 if kind == "hang" else 0.0}
+        for index, kind in CI_CHAOS_SCHEDULE]
+    sharded = FaultSchedule.from_seed(
+        2, 144, kill_rate=0.15, stall_rate=0.05, corrupt_rate=0.05,
+        error_rate=0.02, skip_first=2).summary()["faults"]
+    assert sharded == [
+        {"call_index": index, "kind": kind, "seconds": 0.0}
+        for index, kind in CI_SHARDED_CHAOS_SCHEDULE]
+
+
 def test_skip_first_leaves_warmup_fault_free():
     schedule = FaultSchedule.from_seed(0, num_calls=100, crash_rate=0.5,
                                        skip_first=5)

@@ -5,11 +5,9 @@ import pytest
 from repro.cli import build_parser, main
 from repro.kernels import native_available
 
-#: Engine auto picks below the parallel threshold on this box.
-IN_PROCESS_SMALL = ("softermax-native" if native_available()
-                    else "softermax-fused")
-IN_PROCESS_BIG = ("softermax-native" if native_available()
-                  else "softermax-blocked")
+#: What the auto alias names on this box.
+AUTO_TARGET = ("softermax-native" if native_available()
+               else "softermax-fused")
 
 
 class TestParser:
@@ -61,7 +59,7 @@ class TestFastCommands:
 
     def test_compare_softmax_with_engine_knobs(self, capsys):
         assert main(["compare-softmax", "--seq-len", "64", "--batch", "4",
-                     "--kernel", "softermax-blocked", "--block-rows", "2"]) == 0
+                     "--kernel", "softermax-fused(lpw_method=lstsq)"]) == 0
         assert "softermax (Table I)" in capsys.readouterr().out
 
     def test_compare_softmax_rejects_float_kernel(self, capsys):
@@ -72,60 +70,39 @@ class TestFastCommands:
     def test_kernels_lists_registry_and_auto_choice(self, capsys):
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
-        for name in ("softermax-fused", "softermax-blocked",
-                     "softermax-parallel", "softermax-adaptive"):
+        for name in ("softermax-bit-accurate", "softermax-fused",
+                     f"{AUTO_TARGET} <- auto"):
             assert name in out
-        assert f"auto resolves to: {IN_PROCESS_SMALL}" in out
-        assert "selection" in out
-        # The candidate line is generated from the registry.
-        assert "adaptive candidates" in out
-        from repro.kernels import dispatch_candidates
-        for name in dispatch_candidates():
-            assert name in out, name
-
-    def test_kernels_auto_choice_tracks_shape(self, capsys, pin_cpu_count):
-        # Pin a multicore host: on a 1-core box auto never picks the pool.
-        pin_cpu_count(8)
-        assert main(["kernels", "--batch", "1024", "--seq-len", "2048",
-                     "--workers", "1"]) == 0
-        out = capsys.readouterr().out
-        assert f"auto resolves to: {IN_PROCESS_BIG}" in out
-        assert main(["kernels", "--batch", "4096", "--seq-len", "2048",
-                     "--workers", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "auto resolves to: softermax-parallel" in out
-
-    def test_kernels_auto_choice_single_core_skips_pool(self, capsys,
-                                                        pin_cpu_count):
-        pin_cpu_count(1)
-        assert main(["kernels", "--batch", "4096", "--seq-len", "2048",
-                     "--workers", "8"]) == 0
-        assert (f"auto resolves to: {IN_PROCESS_BIG}"
-                in capsys.readouterr().out)
+        assert f"auto resolves to: {AUTO_TARGET}" in out
 
     def test_bench_kernels_quick(self, capsys):
         assert main(["bench-kernels", "--kernels", "softermax-fused",
-                     "softermax-blocked(block_rows=4)", "--seq-lens", "64",
+                     "auto(lpw_method=lstsq)", "--seq-lens", "64",
                      "--batch", "4"]) == 0
         out = capsys.readouterr().out
         assert "peak MB/call" in out
-        assert "softermax-blocked(block_rows=4)" in out
-
-    def test_bench_kernels_knobs_skip_kernels_that_reject_them(self, capsys):
-        # --block-rows must ride along a list that includes kernels
-        # without that knob (the oracle, the fused kernel).
-        assert main(["bench-kernels", "--kernels", "softermax-bit-accurate",
-                     "softermax-fused", "softermax-blocked",
-                     "--seq-lens", "64", "--batch", "4",
-                     "--block-rows", "4", "--workers", "2"]) == 0
-        assert "softermax-bit-accurate" in capsys.readouterr().out
+        assert "auto(lpw_method=lstsq)" in out
 
     def test_invalid_kernel_option_value_is_a_clean_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["compare-softmax", "--seq-len", "32", "--batch", "2",
-                  "--kernel", "softermax-blocked(block_rows=0)"])
+                  "--kernel", "softermax-fused(lpw_method=bogus)"])
         assert excinfo.value.code == 2
-        assert "block_rows" in capsys.readouterr().err
+        assert "unknown fit method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kernel", ["softermax-fused(lpw_method=bogus)",
+                                        "auto(lpw_method=bogus)"])
+    def test_bad_option_is_a_usage_error_for_auto_too(self, capsys, kernel):
+        """"auto" resolves eagerly, so a bad option fails at startup with
+        the same usage error as a concrete engine name -- not from the
+        first softmax call."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare-softmax", "--seq-len", "32", "--batch", "2",
+                  "--kernel", kernel])
+        assert excinfo.value.code == 2
+        assert "unknown fit method" in capsys.readouterr().err
+        assert main(["serve", "--kernel", kernel]) == 2
+        assert "unknown fit method" in capsys.readouterr().err
 
     def test_latency(self, capsys):
         assert main(["latency", "--seq-lens", "128", "512"]) == 0
@@ -290,12 +267,11 @@ class TestRobustnessCommands:
 class TestShardedCommands:
     def test_parser_registers_sharded_knobs(self):
         parser = build_parser()
-        args = parser.parse_args(["serve", "--workers", "2",
-                                  "--kernel-workers", "3"])
-        assert args.workers == 2 and args.kernel_workers == 3
+        args = parser.parse_args(["serve", "--workers", "2"])
+        assert args.workers == 2
         assert parser.parse_args(["serve"]).workers == 0
         args = parser.parse_args(["daemon", "--workers", "4"])
-        assert args.workers == 4 and args.kernel_workers is None
+        assert args.workers == 4
         args = parser.parse_args(["loadtest", "--chaos", "--workers", "2",
                                   "--kill-rate", "0.1",
                                   "--stall-rate", "0.05",
@@ -304,23 +280,6 @@ class TestShardedCommands:
         assert args.workers == 2 and args.kill_rate == 0.1
         assert args.stall_rate == 0.05 and args.corrupt_rate == 0.02
         assert args.stall_timeout == 0.4
-        # kernels/bench keep the plain pool spelling of --workers
-        args = parser.parse_args(["kernels", "--workers", "3"])
-        assert args.workers == 3 and not hasattr(args, "kernel_workers")
-
-    def test_kernel_options_prefers_kernel_workers(self):
-        import argparse
-
-        from repro.cli import _kernel_options
-
-        serving = argparse.Namespace(workers=2, kernel_workers=3,
-                                     block_rows=None)
-        assert _kernel_options(serving) == {"workers": 3}
-        serving_default = argparse.Namespace(workers=2, kernel_workers=None,
-                                             block_rows=None)
-        assert _kernel_options(serving_default) == {}
-        kernels = argparse.Namespace(workers=4, block_rows=16)
-        assert _kernel_options(kernels) == {"workers": 4, "block_rows": 16}
 
     def test_sharded_serve_round_trip(self, capsys, monkeypatch):
         import io
