@@ -30,7 +30,8 @@ reallocations, or the run fails -- this is the hard check
 warn-only).  Because the token total changes from call to call, the check
 covers the plan arena's row-capacity buckets, not just one fixed shape.
 The payload records its environment: ``cpu_count``, ``native`` (the
-compiled kernel registered) and ``git_rev``.
+compiled kernel registered), ``native_isa`` (its row loop) and
+``git_rev``.
 Before anything is timed, plan outputs are asserted bitwise equal to
 graph outputs (and the fused plan allclose), so the recorded speedups are
 guaranteed to compare equal computations.
@@ -249,7 +250,7 @@ def run_benchmark(model_name: str, number: int, repeat: int,
     steady = measure_ragged_steady_state(model, batches)
     assert_zero_steady_state_allocations(steady)
 
-    from repro.kernels import native_available
+    from repro.kernels import native_available, native_isa
 
     plan = model.inference_plan()
     return {
@@ -257,6 +258,7 @@ def run_benchmark(model_name: str, number: int, repeat: int,
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "native": native_available(),
+        "native_isa": native_isa(),
         "git_rev": git_revision(),
         "model": model_name,
         "timing": {"number": number, "repeat": repeat},

@@ -18,7 +18,9 @@ Every timed Softermax kernel stays bitwise-identical (checked here too, on
 top of the equivalence suite), and each timing point records the
 tracemalloc peak of one call so memory wins are part of the trajectory.
 The payload records its environment: ``cpu_count``, ``native`` (whether
-``softermax-native`` was registered) and ``git_rev``.
+``softermax-native`` was registered), ``native_isa`` (the row loop the
+extension dispatched to: ``"avx2"``, ``"scalar"`` or ``None``) and
+``git_rev``.
 
 Usage::
 
@@ -52,7 +54,7 @@ from benchmarks.bench_utils import RESULTS_DIR, git_revision
 
 from repro.core import SoftermaxConfig, attention_score_batch
 from repro.eval import kernel_timing_sweep
-from repro.kernels import native_available, resolve_kernel
+from repro.kernels import native_available, native_isa, resolve_kernel
 
 #: The pair the row-latency acceptance criterion is about.
 ORACLE = "softermax-bit-accurate"
@@ -125,6 +127,7 @@ def run_bench(seq_lens, batches, kernels, repeats: int) -> dict:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "native": native_available(),
+        "native_isa": native_isa(),
         "git_rev": git_revision(),
         "kernels": list(kernels),
         "seq_lens": list(seq_lens),
@@ -180,12 +183,13 @@ def check_against_baseline(payload: dict, baseline_path: Path,
                 f"fused-vs-oracle speedup at {key} fell to {measured[key]}x "
                 f"(recorded {recorded[key]}x, tolerance {tolerance:.0%})")
 
-    if baseline.get("native") != payload.get("native"):
-        warnings.append(
-            f"baseline was recorded with native={baseline.get('native')} "
-            f"but this run has native={payload.get('native')}; skipping "
-            "the native diffs")
-        return warnings
+    for key in ("native", "native_isa"):
+        if baseline.get(key) != payload.get(key):
+            warnings.append(
+                f"baseline was recorded with {key}={baseline.get(key)} "
+                f"but this run has {key}={payload.get(key)}; skipping "
+                "the native diffs")
+            return warnings
     rec_native = baseline.get("speedup_native_vs_fused", {})
     mes_native = payload.get("speedup_native_vs_fused", {})
     for key in sorted(set(rec_native) & set(mes_native)):

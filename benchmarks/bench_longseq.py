@@ -19,7 +19,8 @@ length (2k / 8k / 32k on the ``tiny-long`` surrogate, ``block_kv=512``):
   (the 32k row: the headline is that chunked *runs* where dense cannot);
 * steady-state allocation counters (asserted zero, as in
   ``bench_encoder``): blocked execution stays allocation-free too;
-* the environment: ``cpu_count``, ``native`` and ``git_rev``.
+* the environment: ``cpu_count``, ``native``, ``native_isa`` and
+  ``git_rev``.
 
 Before anything is timed, small-shape equivalence is asserted: chunked
 plan == chunked graph bitwise, and ``block_kv >= seq`` == dense bitwise.
@@ -250,13 +251,14 @@ def run_benchmark(seq_lens, repeat: int, seed: int) -> dict:
           f"allocations, {steady['kernel_scratch_reallocs']} scratch "
           "reallocs (asserted zero)")
 
-    from repro.kernels import native_available
+    from repro.kernels import native_available, native_isa
 
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "native": native_available(),
+        "native_isa": native_isa(),
         "git_rev": git_revision(),
         "model": "tiny-long",
         "block_kv": BLOCK_KV,

@@ -52,7 +52,7 @@ if __package__ in (None, ""):  # executed as a plain script
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.bench_utils import RESULTS_DIR, git_revision
 
-from repro.kernels import native_available
+from repro.kernels import native_available, native_isa
 from repro.serving.loadtest import run_loadtest, synthetic_requests
 from repro.serving.service import ServiceConfig, build_encoder_service
 
@@ -110,6 +110,7 @@ def run_curve(num_requests: int, batch_sizes, max_wait_ms: float,
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "native": native_available(),
+        "native_isa": native_isa(),
         "git_rev": git_revision(),
         "requests": num_requests,
         "batch_sizes": list(batch_sizes),

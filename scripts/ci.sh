@@ -6,12 +6,14 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== native extension build (hard fail if a compiler is present but"
-echo "   the build breaks; skipped cleanly on compiler-less boxes) =="
+echo "   the build breaks or warns under -Wall -Werror; skipped cleanly on"
+echo "   compiler-less boxes) =="
 if command -v cc >/dev/null 2>&1 || command -v gcc >/dev/null 2>&1; then
-    python setup.py build_ext --inplace
+    CFLAGS="-Wall -Werror" python setup.py build_ext --inplace --force
 else
     echo "no C compiler found; skipping build (pure-Python fallback in play)"
 fi
+python -c "from repro.kernels import native_isa; print('native_isa:', native_isa())"
 
 echo "== static analysis (repro lint, hard fail on new findings) =="
 python -m repro.cli lint

@@ -44,7 +44,12 @@ from repro.core import (
     softmax_reference,
     split_exp_softmax,
 )
-from repro.kernels import available_kernels, get_kernel, resolve_kernel
+from repro.kernels import (
+    available_kernels,
+    get_kernel,
+    native_isa,
+    resolve_kernel,
+)
 from repro.reporting import format_table, format_table1, format_table3, format_table4, series_to_csv
 
 
@@ -211,7 +216,7 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     print(format_table(
         ["kernel", "bit-accurate", "out=/scratch", "description"], rows,
         title="Registered softmax kernels"))
-    print(f"\nauto resolves to: {auto_pick}")
+    print(f"\nauto resolves to: {auto_pick}  (native_isa: {native_isa()})")
     return 0
 
 

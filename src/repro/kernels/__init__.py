@@ -30,6 +30,7 @@ from repro.kernels.native import (
     NativeSoftermaxKernel,
     get_native_kernel,
     native_available,
+    native_isa,
     native_softermax,
 )
 from repro.kernels.registry import (
@@ -56,6 +57,7 @@ __all__ = [
     "NativeSoftermaxKernel",
     "get_native_kernel",
     "native_available",
+    "native_isa",
     "native_softermax",
     "KernelSpec",
     "auto_kernel_choice",

@@ -32,15 +32,17 @@ Bitwise equivalence with the pipeline is not approximate: every quantized
 value produced here is computed by the very same elementwise float
 expression, or by exact integer arithmetic on the fixed-point codes (sums
 of grid values fit losslessly in int64/float64), or gathered from a table
-that was itself filled by the bit-accurate unit.  The equivalence suite in
-``tests/kernels/test_equivalence.py`` asserts ``array_equal`` across
-shapes, slice widths, axes and operating points.
+that was itself filled by the bit-accurate unit.  The one input the code
+domain cannot represent, a NaN score, is answered per row by the
+pipeline itself (one reduction screens each batch for it).  The
+equivalence suite in ``tests/kernels/test_equivalence.py`` asserts
+``array_equal`` across shapes, slice widths, axes and operating points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -49,7 +51,11 @@ from repro.core.config import SoftermaxConfig, DEFAULT_CONFIG
 from repro.core.online_normalizer import integer_max
 from repro.core.pow2_unit import PowerOfTwoUnit
 from repro.core.reciprocal_unit import ReciprocalUnit
-from repro.core.softermax import SoftermaxIntermediates, SoftermaxResult
+from repro.core.softermax import (
+    SoftermaxIntermediates,
+    SoftermaxPipeline,
+    SoftermaxResult,
+)
 from repro.fixedpoint import RoundingMode, quantize
 from repro.kernels.workspace import (
     KernelWorkspace,
@@ -363,6 +369,10 @@ class FusedSoftermaxKernel:
                         i.global_max, i.denominator, i.reciprocal, i.output))
                 ))
             return output, result
+        nan_rows = self._nan_rows(moved)
+        if nan_rows is not None:
+            return self._forward_nan_rows(moved, nan_rows, want_intermediates,
+                                          out, ws)
         if self._lut_codes is None:
             # Exotic operating point (diff LUT too large): vectorized float
             # path, still fused, still bitwise-identical.
@@ -471,6 +481,56 @@ class FusedSoftermaxKernel:
             output=output,
         )
         return output, SoftermaxResult(intermediates)
+
+    # ------------------------------------------------------------------ #
+    # NaN rows
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _nan_rows(moved: np.ndarray) -> Optional[np.ndarray]:
+        """Mask (over the leading axes) of the rows holding a NaN, or None.
+
+        One reduction screens the batch -- a row sums to NaN iff it holds a
+        NaN or both infinities -- and only flagged rows are re-checked.
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            if not np.isnan(np.add.reduce(moved, axis=-1)).any():
+                return None
+        rows = np.isnan(moved).any(axis=-1)
+        return rows if rows.any() else None
+
+    @cached_property
+    def _oracle(self) -> SoftermaxPipeline:
+        """The slice-loop pipeline on this kernel's own units."""
+        pipeline = SoftermaxPipeline(self.config)
+        pipeline.pow2_unit = self.pow2_unit
+        pipeline.reciprocal_unit = self.reciprocal_unit
+        return pipeline
+
+    def _forward_nan_rows(self, moved, nan_rows, want_intermediates, out, ws):
+        """Rows holding a NaN take the oracle's answer, row by row.
+
+        The code domain has no NaN, so those rows run the fast path zeroed
+        and are then overwritten -- output and every intermediate -- with
+        the slice-loop pipeline's result on the same rows.  Every step of
+        the pipeline is row-independent, so the other rows keep their bits.
+        """
+        # Cold path (only batches holding a NaN reach it).
+        clean = np.where(nan_rows[..., None], 0.0, moved)
+        output, result = self._forward(clean, want_intermediates, out=out,
+                                       ws=ws)
+        with np.errstate(invalid="ignore"):
+            ref = self._oracle.run(moved[nan_rows]).intermediates
+        output[nan_rows] = ref.output
+        if result is not None:
+            got = result.intermediates
+            for name in (f.name for f in fields(SoftermaxIntermediates)):
+                signal = getattr(got, name)
+                if not signal.flags.writeable:  # a broadcast max view
+                    # repro: allow(R1): cold NaN path, per-row state only
+                    signal = signal.copy()
+                    setattr(got, name, signal)
+                signal[nan_rows] = getattr(ref, name)
+        return output, result
 
     # ------------------------------------------------------------------ #
     # stages

@@ -6,7 +6,13 @@ integer-code pipeline -- quantize, slice maxima, pow2 difference-LUT
 gather, online-normalization merge, reciprocal multiply, output
 quantization -- as one C pass per row with no NumPy ufunc dispatch.
 
-The wrapper owns everything the C loop must not: table construction is
+The extension has two row loops over one int32 table set: a portable
+scalar loop and, on x86-64, an AVX2 loop that runs each slice in 8 int32
+lanes.  It picks the AVX2 loop once, at import, when the CPU reports
+AVX2 (and only for slices at least one vector wide); no option, env var
+or tensor shape takes part.  :func:`native_isa` names the loop in use.
+
+The wrapper owns everything the C loops must not: table construction is
 borrowed from the memoized :class:`~repro.kernels.fused.FusedSoftermaxKernel`
 (so the LUT, reciprocal table and output-value table are the bit-accurate
 units' own output), axis handling / `out=` / `scratch=` follow the
@@ -18,16 +24,20 @@ C path cannot express bitwise is routed to the fused kernel instead:
   registered at all and ``"auto"`` names ``softermax-fused`` instead;
 * the operating point is outside the integer fast path (no difference
   LUT, no online normalization, float maxima, untabulated reciprocal or
-  signed output format) -- the kernel permanently delegates to fused;
-* a saturated maximum makes a renormalization shift non-integral -- the
-  C loop detects this up front and reports it, and the call is re-run
-  through the fused kernel (which takes its float back end, bitwise
-  vs the oracle by construction).
+  signed output format) or outside the int32 code domain (the fused
+  kernel works in int64, or one slice's code sum could reach 2**31) --
+  the kernel permanently delegates to fused;
+* a saturated maximum makes a renormalization shift non-integral, or a
+  score is NaN -- the C loop detects this and reports it, and the call
+  is re-run through the fused kernel (its float back end, or the
+  oracle's own answer for NaN rows, bitwise vs the oracle either way).
 
 Non-contiguous / non-last-axis inputs are staged into workspace scratch
 (copy-in), so strided attention-score views work unchanged.  Bitwise
-equivalence is pinned by ``tests/kernels/test_equivalence.py`` through
-the registry's ``runner_factory`` mechanism, like every other engine.
+equivalence of both row loops is pinned by
+``tests/kernels/test_equivalence.py`` through the registry's
+``runner_factory`` mechanism (plus a scalar-pinned runner), like every
+other engine.
 """
 
 from __future__ import annotations
@@ -57,6 +67,12 @@ def native_available() -> bool:
     return _lib is not None
 
 
+def native_isa() -> Optional[str]:
+    """Row loop the extension dispatched to at import: ``"avx2"`` or
+    ``"scalar"``; ``None`` when the extension is absent or disabled."""
+    return None if _lib is None else _lib.isa
+
+
 # Parameter-block layout; must match the P_* enum in _softermaxmodule.c.
 _P_COUNT = 17
 
@@ -65,35 +81,48 @@ class NativeSoftermaxKernel:
     """Workspace-aware `fn(x, axis=-1, out=None, scratch=None)` C engine.
 
     Bitwise-identical to :class:`FusedSoftermaxKernel` (hence to the
-    slice-loop oracle) on every input: eligible operating points run the
-    compiled row loop, everything else delegates to the fused kernel.
+    slice-loop oracle) on every input, NaN included: operating points
+    inside the int32 code domain run the compiled row loop the extension
+    dispatched to (see :func:`native_isa`), everything else delegates to
+    the fused kernel.  ``native_supported`` says which applies.
     """
 
     def __init__(self, config: Optional[SoftermaxConfig] = None,
-                 lpw_method: str = "endpoint") -> None:
+                 lpw_method: str = "endpoint", *,
+                 _allow_simd: bool = True) -> None:
         self.config = config or DEFAULT_CONFIG
         self.lpw_method = lpw_method
+        # Private: False pins the scalar row loop on a SIMD-capable CPU so
+        # the equivalence suite can cover both loops.  Not a user option.
+        self._allow_simd = _allow_simd
         self._fused: FusedSoftermaxKernel = get_fused_kernel(
             self.config, lpw_method)
+        fused = self._fused
         self.native_supported = bool(
             _lib is not None
-            and self._fused._lut_codes is not None
-            and self._fused._recip_values is not None
-            and self._fused._out_values is not None
+            and fused._lut_codes is not None
+            and fused._recip_values is not None
+            and fused._out_values is not None
             and self.config.use_online_normalization
             and self.config.use_integer_max
+            # The int32 code domain of both row loops: the fused kernel's
+            # own int32 work-dtype rule (products, shifts, gather index)
+            # plus one slice's code sum.
+            and fused._work_dtype is np.int32
+            and fused._idx_dtype is not np.int64
+            and self.config.slice_width * int(fused._lut_codes.max()) < 2**31
         )
         if self.native_supported:
             self._build_tables()
 
     def _build_tables(self) -> None:
-        fused, cfg = self._fused, self.config
-        self._lut = np.ascontiguousarray(fused._lut_codes, dtype=np.int64)
+        fused = self._fused
+        self._lut = np.ascontiguousarray(fused._lut_codes, dtype=np.int32)
         # Denominator code -> reciprocal *code*: the fused kernel gathers
         # the reciprocal value and re-derives the code per call; indexing
         # the pre-divided table yields the identical integers.
         self._recip_codes = np.ascontiguousarray(
-            np.rint(fused._recip_values / fused._recip_res), dtype=np.int64)
+            np.rint(fused._recip_values / fused._recip_res), dtype=np.int32)
         self._out_table = np.ascontiguousarray(fused._out_values,
                                                dtype=np.float64)
         self._inv_in_res = 1.0 / fused._in_res
@@ -158,17 +187,19 @@ class NativeSoftermaxKernel:
         width = self.config.slice_width
         num_slices = (length + width - 1) // width
         ucodes = self._take(scratch, "native.ucodes",
-                            (num_slices * width,), np.int64)
+                            (num_slices * width,), np.int32)
         slices = self._take(scratch, "native.slices",
-                            (3 * num_slices,), np.int64)
+                            (3 * num_slices,), np.int32)
         rc = _lib.forward(moved.reshape(-1, length),
                           dest.reshape(-1, length),
                           self._lut, self._recip_codes, self._out_table,
-                          ucodes, slices, self._params, self._inv_in_res)
+                          ucodes, slices, self._params, self._inv_in_res,
+                          self._allow_simd)
         if rc != 0:
-            # Saturated maximum -> non-integral renormalization shift: the
-            # integer path cannot be bitwise, so the fused kernel answers
-            # (its float back end, identical to the oracle by construction).
+            # A saturated maximum (non-integral renormalization shift) or a
+            # NaN score: the integer path cannot be bitwise, so the fused
+            # kernel answers -- its float back end, or the oracle's own
+            # rows for NaN, identical to the oracle either way.
             return self._fused(x, axis=axis, out=out, scratch=scratch)
 
         if direct:

@@ -10,7 +10,10 @@ bit-accurate kernel is pinned to the oracle automatically (via its spec's
 like a softmax (probabilities in [0, 1], rows summing to ~1, permutation
 equivariance along the reduction axis).  The ``"auto"`` alias rides along
 every engine case, so whatever it names on this box (native when built,
-fused otherwise) is pinned to the oracle too.
+fused otherwise) is pinned to the oracle too, and so does the native
+engine pinned to its scalar row loop (``softermax-native:scalar``): with
+the extension built, both C row loops -- the vector loop the CPU
+dispatches to and the portable scalar one -- face every case.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ from repro.fixedpoint import QFormat
 from repro.kernels import (
     FusedSoftermaxKernel,
     KernelWorkspace,
+    NativeSoftermaxKernel,
     available_kernels,
     fused_softermax,
     get_fused_kernel,
     get_kernel,
+    native_available,
     output_allocation_count,
     resolve_kernel,
 )
@@ -67,7 +72,18 @@ BIT_ACCURATE = sorted(
 ) + ["auto"]
 
 
+#: The native engine with its vector loop switched off (a private
+#: constructor flag, not a registry name).
+NATIVE_SCALAR = "softermax-native:scalar"
+
+#: Every runner the bitwise cases face: the registry's bit-accurate
+#: engines, ``"auto"``, and the scalar-pinned native engine.
+RUNNERS = BIT_ACCURATE + ([NATIVE_SCALAR] if native_available() else [])
+
+
 def _runner(name: str, config):
+    if name == NATIVE_SCALAR:
+        return NativeSoftermaxKernel(config, _allow_simd=False)
     spec = get_kernel(name)
     assert spec.runner_factory is not None, (
         f"bit-accurate kernel {name!r} must expose a runner_factory so the "
@@ -76,15 +92,18 @@ def _runner(name: str, config):
 
 
 def _assert_bitwise_equal(pipeline, kernel, x):
-    ref = pipeline.run(x).intermediates
+    with np.errstate(invalid="ignore"):  # the oracle's units cast NaN lanes
+        ref = pipeline.run(x).intermediates
     got = kernel.run(x).intermediates
+    # NaN compares equal to NaN here: rows holding a NaN must reproduce
+    # the oracle's NaN signals, not merely some output.
     for field in INTERMEDIATE_FIELDS:
         a, b = getattr(ref, field), getattr(got, field)
-        assert np.array_equal(a, b), (
+        assert np.array_equal(a, b, equal_nan=True), (
             f"{field} diverged: max abs diff "
-            f"{np.max(np.abs(np.asarray(a) - np.asarray(b)))}"
+            f"{np.nanmax(np.abs(np.asarray(a) - np.asarray(b)))}"
         )
-    assert np.array_equal(kernel(x), ref.output)
+    assert np.array_equal(kernel(x), ref.output, equal_nan=True)
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
@@ -92,7 +111,7 @@ def _assert_bitwise_equal(pipeline, kernel, x):
 def test_bit_accurate_kernels_bitwise_identical(rng, config_name, shape):
     config = CONFIGS[config_name]
     pipeline = SoftermaxPipeline(config)
-    kernels = {name: _runner(name, config) for name in BIT_ACCURATE}
+    kernels = {name: _runner(name, config) for name in RUNNERS}
     # Moderate scale exercises the LPW range; the large scale saturates the
     # input/max formats (non-integer shifts -> the fused float back end).
     for scale in (6.0, 40.0):
@@ -108,7 +127,7 @@ def test_bit_accurate_kernels_bitwise_identical(rng, config_name, shape):
             assert np.array_equal(kernel(x), ref.output), name
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("name", RUNNERS)
 @pytest.mark.parametrize("axis", [0, 1, 2, -1, -2])
 def test_bit_accurate_axis_handling(rng, paper_config, name, axis):
     x = rng.normal(0.0, 5.0, size=(6, 7, 40))
@@ -117,7 +136,7 @@ def test_bit_accurate_axis_handling(rng, paper_config, name, axis):
     assert np.array_equal(pipeline(x, axis=axis), kernel(x, axis=axis))
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("name", RUNNERS)
 def test_bit_accurate_extreme_and_degenerate_inputs(paper_config, name):
     pipeline = SoftermaxPipeline(paper_config)
     kernel = _runner(name, paper_config)
@@ -134,11 +153,46 @@ def test_bit_accurate_extreme_and_degenerate_inputs(paper_config, name):
         np.linspace(-64.0, 64.0, 96).reshape(2, 48),  # saturates both ends
         np.asarray([[1e30, -1e30, 0.0, 2.5]]),
     ]
+    # NaN scores: the oracle answers NaN for the whole row and leaves the
+    # other rows alone, wherever the NaN sits.
+    scores = np.random.default_rng(7).normal(0.0, 6.0, size=(3, 37))
+    nan_first, nan_later, nan_tail = scores.copy(), scores.copy(), \
+        scores.copy()
+    nan_first[1, 0] = np.nan      # first lane of the first slice
+    nan_later[1, 33] = np.nan     # second slice
+    nan_tail[0, 36] = np.nan      # last lane of the partial tail slice
+    all_nan = scores.copy()
+    all_nan[2] = np.nan
+    with_inf = scores.copy()
+    with_inf[0, [3, 5, 30]] = [np.nan, np.inf, -np.inf]
+    with_inf[2, [0, 36]] = [-np.inf, np.inf]  # infinities, no NaN
+    cases += [np.asarray([[np.nan, 1.0, 2.0, 3.0]]), nan_first, nan_later,
+              nan_tail, all_nan, with_inf]
     for x in cases:
         _assert_bitwise_equal(pipeline, kernel, x)
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("width", [32, 8, 1])
+def test_bit_accurate_length_sweep_covers_every_vector_tail(width):
+    """Every row length 1-70 (and 511/513) at slice widths 32, 8 and 1.
+
+    The vector row loop runs each slice as whole 8-lane vectors plus one
+    masked tail; this sweep hits every tail length, partial last slices,
+    and slices narrower than a vector.
+    """
+    config = SoftermaxConfig(slice_width=width)
+    pipeline = SoftermaxPipeline(config)
+    kernels = {name: _runner(name, config) for name in RUNNERS}
+    rng = np.random.default_rng(width)
+    for length in [*range(1, 71), 511, 513]:
+        x = rng.normal(0.0, 6.0, size=(2, length))
+        x[1] *= 5.0  # a wider second row saturates some lanes
+        expected = pipeline(x)
+        for name, kernel in kernels.items():
+            assert np.array_equal(kernel(x), expected), (name, width, length)
+
+
+@pytest.mark.parametrize("name", RUNNERS)
 def test_bit_accurate_empty_axis_raises(paper_config, name):
     with pytest.raises(ValueError):
         _runner(name, paper_config)(np.zeros((4, 0)))
@@ -146,7 +200,7 @@ def test_bit_accurate_empty_axis_raises(paper_config, name):
         SoftermaxPipeline(paper_config)(np.zeros((4, 0)))
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("name", RUNNERS)
 def test_bit_accurate_does_not_mutate_input(rng, paper_config, name):
     x = rng.normal(0.0, 6.0, size=(4, 64))
     before = x.copy()
@@ -164,7 +218,7 @@ def test_fused_kernel_memoized_per_config():
     assert isinstance(fused_softermax(np.zeros((2, 8))), np.ndarray)
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("name", RUNNERS)
 def test_bit_accurate_degenerate_shapes(rng, paper_config, name):
     """Zero-row batches, 1-D inputs and tiny batches all match the oracle.
 
@@ -190,7 +244,7 @@ def test_bit_accurate_degenerate_shapes(rng, paper_config, name):
 # --------------------------------------------------------------------------- #
 # the workspace-aware out=/scratch= contract
 # --------------------------------------------------------------------------- #
-# Parameterized over BIT_ACCURATE (i.e. over runner_factory), so a newly
+# Parameterized over RUNNERS (i.e. over runner_factory), so a newly
 # registered bit-accurate kernel gets the in-place contract pinned for free.
 OUT_SHAPES = [(16,), (3, 33), (2, 2, 40), (5, 96), (0, 16)]
 
@@ -202,7 +256,7 @@ def test_engine_kernels_declare_out_capability(name):
     assert spec.supports_scratch, name
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("name", RUNNERS)
 @pytest.mark.parametrize("shape", OUT_SHAPES, ids=str)
 def test_out_mode_bitwise_identical_to_allocate_mode(rng, paper_config,
                                                      name, shape):
@@ -216,7 +270,7 @@ def test_out_mode_bitwise_identical_to_allocate_mode(rng, paper_config,
     assert np.array_equal(out, expected)
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("name", RUNNERS)
 def test_out_buffer_reused_across_calls(rng, paper_config, name):
     """Stale contents of a reused ``out=`` buffer never leak through."""
     kernel = _runner(name, paper_config)
@@ -228,7 +282,7 @@ def test_out_buffer_reused_across_calls(rng, paper_config, name):
         assert np.array_equal(out, kernel(x))
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("name", RUNNERS)
 def test_out_mismatch_raises(rng, paper_config, name):
     kernel = _runner(name, paper_config)
     x = rng.normal(0.0, 6.0, size=(4, 40))
@@ -241,7 +295,7 @@ def test_out_mismatch_raises(rng, paper_config, name):
         kernel(x, out=[[0.0] * 40] * 4)  # not an ndarray
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("name", RUNNERS)
 @pytest.mark.parametrize("axis", [0, 1, -1, -2])
 def test_out_mode_handles_every_axis(rng, paper_config, name, axis):
     kernel = _runner(name, paper_config)
@@ -251,7 +305,7 @@ def test_out_mode_handles_every_axis(rng, paper_config, name, axis):
                           kernel(x, axis=axis))
 
 
-@pytest.mark.parametrize("name", BIT_ACCURATE)
+@pytest.mark.parametrize("name", RUNNERS)
 def test_caller_scratch_workspace_bitwise_identical(rng, paper_config, name):
     """One caller-owned workspace serves every engine, across shapes."""
     kernel = _runner(name, paper_config)
@@ -267,7 +321,7 @@ def test_out_mode_steady_state_performs_no_output_allocations(rng,
                                                               paper_config):
     """out= + scratch= means zero allocation traffic at the kernel boundary
     (the serving fast path's contract, also asserted by bench_encoder)."""
-    for name in BIT_ACCURATE:
+    for name in RUNNERS:
         kernel = _runner(name, paper_config)
         ws = KernelWorkspace()
         x = rng.normal(0.0, 6.0, size=(8, 64))
@@ -285,7 +339,7 @@ def test_out_mode_steady_state_performs_no_output_allocations(rng,
 
 
 def test_input_never_mutated_by_out_mode(rng, paper_config):
-    for name in BIT_ACCURATE:
+    for name in RUNNERS:
         kernel = _runner(name, paper_config)
         x = rng.normal(0.0, 6.0, size=(4, 48))
         before = x.copy()

@@ -5,15 +5,18 @@ Bitwise equivalence against the oracle is pinned by
 ``runner_factory`` mechanism; this module covers what that matrix cannot:
 import/fallback behavior, the ``REPRO_DISABLE_NATIVE`` kill switch (in a
 subprocess, since the guard runs at import time), what the ``"auto"``
-alias names with the extension present and absent, and the staging path for strided /
-non-last-axis inputs.  Everything that needs the ``.so`` is gated with
-``skipif``, so the suite is green on a box that never built the extension.
+alias names with the extension present and absent, which row loop the
+extension dispatches to (and that it really runs), and the staging path
+for strided / non-last-axis inputs.  Everything that needs the ``.so`` is
+gated with ``skipif``, so the suite is green on a box that never built
+the extension.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -33,10 +36,11 @@ from repro.kernels import (
     get_kernel,
     get_native_kernel,
     native_available,
+    native_isa,
     native_softermax,
     resolve_kernel,
 )
-from repro.kernels._native import DISABLE_ENV
+from repro.kernels._native import DISABLE_ENV, lib
 
 NATIVE = native_available()
 
@@ -99,6 +103,14 @@ _PROBE = (
 def test_kill_switch_disables_backend_in_subprocess():
     out = _run_subprocess({DISABLE_ENV: "1"}, _PROBE).stdout.split()
     assert out == ["0", "0"]
+
+
+def test_native_isa_names_the_dispatched_loop_or_none():
+    assert native_isa() == (lib.isa if NATIVE else None)
+    assert native_isa() in (("avx2", "scalar") if NATIVE else (None,))
+    probe = "from repro.kernels import native_isa\nprint(native_isa())\n"
+    assert _run_subprocess({DISABLE_ENV: "1"}, probe).stdout.split() == [
+        "None"]
 
 
 def test_kill_switch_zero_and_empty_mean_enabled():
@@ -183,12 +195,61 @@ def test_out_and_scratch_reuse(rng):
 
 @needs_native
 def test_saturated_maximum_falls_back_bitwise():
-    # Saturated maxima make the renormalization shift non-integral; the C
-    # loop must detect this and re-route to the fused kernel's float back
+    # Saturated maxima make the renormalization shift non-integral; both C
+    # loops must detect this and re-route to the fused kernel's float back
     # end rather than emit wrong integers.
     x = np.full((2, 40), 31.75)
-    kernel = get_native_kernel()
-    assert np.array_equal(kernel(x), SoftermaxPipeline()(x))
+    for kernel in (get_native_kernel(),
+                   NativeSoftermaxKernel(_allow_simd=False)):
+        assert np.array_equal(kernel(x), SoftermaxPipeline()(x))
+
+
+def _cpu_reports_avx2():
+    """True/False from /proc/cpuinfo on x86-64 Linux, None elsewhere."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        with open("/proc/cpuinfo") as fh:
+            info = fh.read()
+    except OSError:
+        return None
+    flags = next((line.split(":", 1)[1].split() for line in info.splitlines()
+                  if line.startswith("flags")), None)
+    return None if flags is None else "avx2" in flags
+
+
+@needs_native
+def test_vector_loop_runs_when_cpu_reports_avx2(rng):
+    avx2 = _cpu_reports_avx2()
+    if avx2 is None:
+        pytest.skip("CPU flags unreadable on this platform")
+    assert native_isa() == ("avx2" if avx2 else "scalar")
+    x = rng.normal(0.0, 6.0, size=(3, 96))
+    for kernel, runs_vector in (
+            (get_native_kernel(), avx2),
+            (NativeSoftermaxKernel(_allow_simd=False), False),
+            # slices narrower than one vector keep the scalar loop
+            (get_native_kernel(SoftermaxConfig(slice_width=1)), False)):
+        before = lib.simd_calls()
+        kernel(x)
+        assert lib.simd_calls() - before == int(runs_vector)
+
+
+@needs_native
+def test_int32_bound_decides_eligibility():
+    # Every operating point native served before still qualifies for the
+    # int32 code domain; one whose slice sum could overflow int32 does not
+    # (and delegates to fused bitwise).
+    for config in (SoftermaxConfig.paper_table1(),
+                   SoftermaxConfig(slice_width=8),
+                   SoftermaxConfig(slice_width=1),
+                   SoftermaxConfig(use_base2=False)):
+        assert NativeSoftermaxKernel(config).native_supported
+    wide = SoftermaxConfig(slice_width=1 << 16)
+    kernel = NativeSoftermaxKernel(wide)
+    assert not kernel.native_supported
+    x = np.linspace(-3.0, 3.0, 40).reshape(2, 20)
+    assert np.array_equal(kernel(x), get_fused_kernel(wide)(x))
 
 
 @needs_native

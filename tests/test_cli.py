@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.kernels import native_available
+from repro.kernels import native_available, native_isa
 
 #: What the auto alias names on this box.
 AUTO_TARGET = ("softermax-native" if native_available()
@@ -74,6 +74,7 @@ class TestFastCommands:
                      f"{AUTO_TARGET} <- auto"):
             assert name in out
         assert f"auto resolves to: {AUTO_TARGET}" in out
+        assert f"(native_isa: {native_isa()})" in out
 
     def test_bench_kernels_quick(self, capsys):
         assert main(["bench-kernels", "--kernels", "softermax-fused",
