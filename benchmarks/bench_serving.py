@@ -170,17 +170,17 @@ def run_workers_curve(num_requests: int, worker_counts, seed: int) -> dict:
     import time as _time
 
     from repro.serving import (
-        RestartPolicy, ServiceConfig, build_sharded_service,
+        RestartPolicy, ServiceConfig, build_encoder_service,
     )
     from repro.serving.loadtest import synthetic_requests
 
     requests = synthetic_requests(num_requests, seed=seed)
     points = []
     for workers in worker_counts:
-        service = build_sharded_service(
+        service = build_encoder_service(
             config=ServiceConfig(max_batch_size=8, max_wait_ms=1.0,
                                  cache_size=0),
-            policy=RestartPolicy(seed=seed), num_workers=workers)
+            policy=RestartPolicy(seed=seed), workers=workers)
         with service:
             start = _time.perf_counter()
             service.infer_many(requests, timeout=600.0)

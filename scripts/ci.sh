@@ -54,6 +54,10 @@ echo "== daemon smoke (TCP round trip over a real socket; asserts wire"
 echo "   responses bitwise identical to solo inference) =="
 python -m repro.cli daemon --smoke 6 --max-batch-size 4 --max-wait-ms 1
 
+echo "== daemon smoke over the process executor (one shard process; same"
+echo "   bitwise wire assertion) =="
+python -m repro.cli daemon --smoke 6 --workers 1 --max-batch-size 4 --max-wait-ms 1
+
 echo "== chaos smoke (injected crashes/hangs under supervision; hard"
 echo "   zero-drop + bitwise assertions, timing warn-only) =="
 python -m repro.cli loadtest --chaos --quick --batch-size 4 \

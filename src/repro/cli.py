@@ -248,7 +248,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         RestartPolicy,
         ServiceConfig,
         build_encoder_service,
-        build_sharded_service,
     )
 
     config = ServiceConfig(max_batch_size=args.max_batch_size,
@@ -258,16 +257,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            engine=args.engine,
                            fuse_qkv=args.fuse_qkv,
                            block_kv=args.block_kv)
+    # No policy for in-thread forwards: a long-context (--block-kv)
+    # forward may take minutes, so it gets no hang deadline.
+    policy = RestartPolicy(seed=args.seed) if args.workers > 0 else None
     try:
-        if args.workers > 0:
-            service = build_sharded_service(
-                model_name=args.model, kernel=args.kernel, seed=args.seed,
-                config=config, policy=RestartPolicy(seed=args.seed),
-                num_workers=args.workers)
-        else:
-            service = build_encoder_service(
-                model_name=args.model, kernel=args.kernel, seed=args.seed,
-                config=config)
+        service = build_encoder_service(
+            model_name=args.model, kernel=args.kernel, seed=args.seed,
+            config=config, policy=policy, workers=args.workers)
     except (KeyError, TypeError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
@@ -294,11 +290,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     interrupted = False
     try:
         with service:
-            if args.workers > 0:
-                # Settle the shard boot transient so the final snapshot
-                # line reports steady-state worker health even for very
-                # short sessions.
-                service.wait_ready()
+            # Settle the shard boot transient so the final snapshot line
+            # reports steady-state worker health even for very short
+            # sessions.
+            service.wait_ready()
             try:
                 for line in sys.stdin:
                     line = line.strip()
@@ -515,15 +510,14 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 def _cmd_daemon(args: argparse.Namespace) -> int:
     """TCP serving daemon over the supervised inference service.
 
-    ``--workers N`` swaps the in-process supervised worker for N shard
+    ``--workers N`` swaps the in-process worker thread for N shard
     processes on one shared-memory snapshot; the TCP surface (protocol,
-    deadlines, stats op) is identical.
+    deadlines, stats op) and the supervision are identical.
     """
     from repro.serving import (
         RestartPolicy,
         ServiceConfig,
-        build_sharded_service,
-        build_supervised_service,
+        build_encoder_service,
     )
     from repro.serving.daemon import daemon_smoke, run_daemon
 
@@ -538,14 +532,9 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
         policy = RestartPolicy(max_restarts=args.max_restarts,
                                hang_timeout_s=args.hang_timeout,
                                seed=args.seed)
-        if args.workers > 0:
-            service = build_sharded_service(
-                model_name=args.model, kernel=args.kernel, seed=args.seed,
-                config=config, policy=policy, num_workers=args.workers)
-        else:
-            service = build_supervised_service(
-                model_name=args.model, kernel=args.kernel, seed=args.seed,
-                config=config, policy=policy)
+        service = build_encoder_service(
+            model_name=args.model, kernel=args.kernel, seed=args.seed,
+            config=config, policy=policy, workers=args.workers)
     except (KeyError, TypeError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2

@@ -9,14 +9,17 @@ paper targets (transformer inference at datacenter request rates):
 * :mod:`repro.serving.service` -- :class:`InferenceService`: accepts
   per-request token sequences, coalesces them into batches, runs
   them through the BERT encoder / Softermax kernel as one
-  forward, and returns per-request results.
+  forward, and returns per-request results.  Every service is
+  supervised: one loop per executor slot restarts crashed, hung or
+  stalled workers, requeues their in-flight batch, and degrades or
+  fails typed when the restart budget is spent -- the failure
+  semantics table lives in that module's docstring.
 * :mod:`repro.serving.cache` -- the LRU response cache.
 * :mod:`repro.serving.stats` -- latency/throughput accounting (p50/p99,
   req/s, batch-size distribution, robustness event counters).
-* :mod:`repro.serving.supervisor` -- :class:`SupervisedService`: the
-  inference worker under actor-style supervision (heartbeat health
-  checks, crash/hang restarts with in-flight requeue, bounded restarts
-  with exponential backoff + seeded jitter).
+* :mod:`repro.serving.supervisor` -- :class:`RestartPolicy` (bounded
+  restarts, exponential backoff + seeded jitter, hang/stall timeouts),
+  :class:`RestartBudget` and the typed supervision errors.
 * :mod:`repro.serving.daemon` -- the asyncio TCP front end: a
   line-delimited JSON protocol multiplexing many open-loop clients into
   the micro-batcher, with per-request deadlines and typed overload
@@ -28,10 +31,11 @@ paper targets (transformer inference at datacenter request rates):
 * :mod:`repro.serving.snapshot` -- checksummed, versioned shared-memory
   model snapshots (:class:`SnapshotBundle`): published once, attached
   zero-copy by every shard worker, verified CRC-by-CRC before serving.
-* :mod:`repro.serving.shard` -- :class:`ShardedInferenceService`: the
-  same service surface over N supervised worker *processes* sharing one
-  snapshot -- SIGKILL-grade crash isolation, heartbeat stall detection,
-  per-shard restart budgets with graceful degradation.
+* :mod:`repro.serving.shard` -- :class:`ShardPool`: the process
+  executor, N worker *processes* sharing one snapshot
+  (``build_encoder_service(workers=N)``) -- SIGKILL-grade crash
+  isolation, heartbeat stall detection, per-shard restart budgets with
+  graceful degradation.
 
 The load-bearing guarantee is **bit-transparency**: a request's answer is
 bitwise identical whether it rode alone or inside a coalesced batch (see
@@ -53,27 +57,25 @@ from repro.serving.batcher import (
 from repro.serving.cache import LRUCache
 from repro.serving.faults import Fault, FaultSchedule, FaultyModel
 from repro.serving.service import (
+    DegradedService,
     InferenceService,
     ServiceConfig,
     build_encoder_model,
     build_encoder_service,
 )
-from repro.serving.shard import (
-    DegradedService,
-    ShardedInferenceService,
-    WorkerStalledError,
-    build_sharded_service,
-)
+from repro.serving.shard import ShardPool
 from repro.serving.snapshot import SnapshotBundle, SnapshotCorruptionError
 from repro.serving.stats import LatencyStats, percentile
 from repro.serving.supervisor import (
     RestartBudget,
     RestartPolicy,
-    SupervisedService,
     SupervisorExhaustedError,
     WorkerHungError,
-    build_supervised_service,
+    WorkerStalledError,
 )
+
+#: The old name of the supervised service, which every service now is.
+SupervisedService = InferenceService
 
 __all__ = [
     "MicroBatcher",
@@ -94,13 +96,11 @@ __all__ = [
     "RestartPolicy",
     "RestartBudget",
     "SupervisedService",
-    "build_supervised_service",
     "SnapshotBundle",
     "SnapshotCorruptionError",
-    "ShardedInferenceService",
+    "ShardPool",
     "DegradedService",
     "WorkerStalledError",
-    "build_sharded_service",
     "Fault",
     "FaultSchedule",
     "FaultyModel",

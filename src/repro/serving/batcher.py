@@ -62,9 +62,10 @@ class WorkerCrashError(RuntimeError):
 
     Unlike an ordinary model exception (which fails the affected batch and
     leaves the worker serving), a :class:`WorkerCrashError` means the
-    worker itself is broken: a supervised service restarts the worker and
-    requeues the in-flight batch; an unsupervised service fails the batch
-    and keeps polling.
+    worker itself is broken: the service's supervision loop requeues the
+    in-flight batch and restarts the worker, consuming one restart from
+    that executor slot's budget (see the failure table in
+    :mod:`repro.serving.service`).
     """
 
 

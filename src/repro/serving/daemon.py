@@ -3,7 +3,7 @@
 ``serve`` (the stdin loop) demonstrates the service; this module *deploys*
 it: an :mod:`asyncio` TCP front end speaking a line-delimited JSON
 protocol, multiplexing any number of concurrent client connections into
-the one :class:`~repro.serving.supervisor.SupervisedService` --
+the one :class:`~repro.serving.service.InferenceService` --
 micro-batching, response cache, supervision and deadline plumbing
 included.  The bridge between the async front end and the threaded worker
 is a single done-callback per request
@@ -91,7 +91,7 @@ def _error_response(exc: BaseException, request_id=None) -> dict:
 
 
 class ServingDaemon:
-    """TCP front end over an (ideally supervised) inference service.
+    """TCP front end over an inference service.
 
     Parameters
     ----------
@@ -124,12 +124,10 @@ class ServingDaemon:
             raise RuntimeError("daemon already started")
         self._loop = asyncio.get_running_loop()
         self.service.start()
-        # Sharded services boot worker processes asynchronously; don't
-        # announce the listening socket until the shards settle so the
-        # first stats reply reflects steady state, not the boot transient.
-        wait_ready = getattr(self.service, "wait_ready", None)
-        if wait_ready is not None:
-            wait_ready()
+        # Shard processes boot asynchronously; don't announce the
+        # listening socket until they settle so the first stats reply
+        # reflects steady state, not the boot transient.
+        self.service.wait_ready()
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]

@@ -330,7 +330,7 @@ def run_chaos_loadtest(
     or the deadline path is skipped when ``deadline_ms`` is None).
     """
     from repro.serving.faults import FaultSchedule, FaultyModel
-    from repro.serving.supervisor import RestartPolicy, SupervisedService
+    from repro.serving.supervisor import RestartPolicy
 
     requests = synthetic_requests(num_requests, seed=seed)
     # Upper bound on forward calls: one per request (sequential worst
@@ -351,7 +351,7 @@ def run_chaos_loadtest(
                            max_wait_ms=max_wait_ms,
                            max_queue_depth=num_requests + 1,
                            cache_size=0)
-    service = SupervisedService(faulty, config, policy)
+    service = InferenceService(faulty, config, policy)
 
     rng = np.random.default_rng(seed + 1)
     with_deadline = (deadline_ms is not None
@@ -440,7 +440,6 @@ def run_sharded_chaos_loadtest(
     replacement.  Reproducible from the recorded ``seed``: each spawn's
     fault schedule is derived from it per shard and generation.
     """
-    from repro.serving.shard import build_sharded_service
     from repro.serving.supervisor import RestartPolicy
 
     requests = synthetic_requests(num_requests, seed=seed)
@@ -462,9 +461,9 @@ def run_sharded_chaos_loadtest(
                            max_wait_ms=max_wait_ms,
                            max_queue_depth=num_requests + 1,
                            cache_size=0)
-    service = build_sharded_service(
+    service = build_encoder_service(
         model_name=model_name, kernel=kernel, seed=seed, config=config,
-        policy=policy, num_workers=num_workers, mp_context=mp_context,
+        policy=policy, workers=num_workers, mp_context=mp_context,
         fault_spec=fault_spec)
 
     rng = np.random.default_rng(seed + 1)

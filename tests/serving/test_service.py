@@ -376,6 +376,27 @@ class _SlowModel:
         return self.inner.encode_ragged(sequences, pad_id=pad_id)
 
 
+def test_default_service_puts_no_hang_deadline_on_a_long_forward(
+        encoder_service_model, monkeypatch):
+    """A forward longer than the restart policy's hang timeout (a
+    long-context request) is served, not declared hung, by a service
+    built with the default policy."""
+    from repro.serving import RestartPolicy, service as service_module
+
+    model = _SlowModel(encoder_service_model,
+                       delay_s=RestartPolicy().hang_timeout_s + 0.5)
+    monkeypatch.setattr(service_module, "build_encoder_model",
+                        lambda **kwargs: model)
+    with build_encoder_service(
+            config=ServiceConfig(max_batch_size=1, cache_size=0)) as service:
+        got = service.infer((1, 2, 3), timeout=30.0)
+        snap = service.snapshot()
+    assert np.array_equal(
+        got, encoder_service_model.encode_ragged([[1, 2, 3]])[0])
+    assert snap["restarts"] == 0
+    assert "worker_hang" not in snap["events"]
+
+
 def test_deadline_expires_while_queued_not_computed(encoder_service_model):
     """A request whose deadline passes in the queue is shed typed at
     batch formation -- the model never sees it."""

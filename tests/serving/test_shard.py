@@ -27,7 +27,7 @@ from repro.serving import (
     RestartPolicy,
     ServiceConfig,
     SupervisorExhaustedError,
-    build_sharded_service,
+    build_encoder_service,
 )
 from repro.serving.loadtest import run_sharded_chaos_loadtest
 
@@ -44,8 +44,8 @@ def _sharded(num_workers=2, fault_spec=None, *, max_restarts=8,
                                   **policy_overrides))
     config = ServiceConfig(max_batch_size=max_batch_size, max_wait_ms=0.5,
                            cache_size=cache_size)
-    return build_sharded_service(config=config, policy=policy,
-                                 num_workers=num_workers,
+    return build_encoder_service(config=config, policy=policy,
+                                 workers=num_workers,
                                  fault_spec=fault_spec)
 
 
@@ -98,7 +98,7 @@ def test_round_trip_bitwise_identical_to_solo():
 def test_external_sigkill_never_terminates_service():
     with _sharded(num_workers=2) as service:
         _wait_live(service, 2)
-        victim = service._shards[0].process
+        victim = service._slots[0].executor.process
         os.kill(victim.pid, signal.SIGKILL)
         # the service must absorb the kill: requeue, respawn, keep serving
         requests = _requests(16)
@@ -208,6 +208,19 @@ def test_wait_ready_settles_boot_transient():
         live = service.wait_ready(timeout=60.0)
         assert live == 2
         assert service.snapshot()["live_workers"] == 2
+
+
+def test_admission_estimate_shares_queue_over_live_workers():
+    """Two live shards drain the queue twice as fast as one: the
+    admission estimate must not shed deadlines the service can meet."""
+    with _sharded(num_workers=2, max_batch_size=4) as service:
+        assert service.wait_ready(timeout=60.0) == 2
+        service.batcher.depth = lambda: 12  # three full batches queued
+        for _ in range(3):
+            service.stats.record_batch(4, forward_seconds=0.010)
+        # (3 batches ahead + its own) over 2 workers, plus one window.
+        expected = 4 / 2 * 0.010 + 0.5e-3
+        assert service.estimated_wait_seconds() == pytest.approx(expected)
 
 
 def test_stats_gauges_surface_shard_health():

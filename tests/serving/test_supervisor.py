@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.serving import (
     SupervisedService,
     SupervisorExhaustedError,
     build_encoder_model,
+    build_encoder_service,
 )
 from repro.serving.faults import Fault, FaultSchedule, FaultyModel
 from repro.serving.loadtest import synthetic_requests
@@ -34,20 +36,37 @@ def encoder_model():
     return build_encoder_model()
 
 
-def _supervised(model, schedule=None, *, max_restarts=8,
-                hang_timeout_s=None, config=None,
+#: The same plain model error at forward call 1 on either executor: an
+#: in-process schedule for the worker thread (``workers=0``), the seeded
+#: spec a shard process draws its schedule from (``workers=1``).
+_ERROR_AT_CALL_1 = [
+    pytest.param(0, dict(schedule=FaultSchedule([Fault(1, "error")])),
+                 id="thread"),
+    pytest.param(1, dict(fault_spec=dict(seed=0, num_calls=2,
+                                         error_rate=1.0, skip_first=1)),
+                 id="process"),
+]
+
+
+def _supervised(model, schedule=None, *, workers=0, fault_spec=None,
+                max_restarts=8, hang_timeout_s=None, config=None,
                 **policy_overrides) -> SupervisedService:
     policy_kwargs = dict(_FAST_POLICY, max_restarts=max_restarts,
                          **policy_overrides)
+    if hang_timeout_s is None and workers:
+        # A shard's first forward compiles its plan: no tight hang bound.
+        hang_timeout_s = 20.0
     if hang_timeout_s is not None:
         policy_kwargs["hang_timeout_s"] = hang_timeout_s
+    config = config or ServiceConfig(max_batch_size=4, max_wait_ms=1.0,
+                                     cache_size=0)
+    if workers:
+        return build_encoder_service(config=config,
+                                     policy=RestartPolicy(**policy_kwargs),
+                                     workers=workers, fault_spec=fault_spec)
     if schedule is not None:
         model = FaultyModel(model, schedule)
-    return SupervisedService(
-        model,
-        config or ServiceConfig(max_batch_size=4, max_wait_ms=1.0,
-                                cache_size=0),
-        RestartPolicy(**policy_kwargs))
+    return SupervisedService(model, config, RestartPolicy(**policy_kwargs))
 
 
 # --------------------------------------------------------------------------- #
@@ -147,11 +166,12 @@ def test_restart_budget_exhaustion_fails_typed(encoder_model):
     assert snap["events"]["terminal"] == 1
 
 
-def test_plain_model_error_consumes_no_restart(encoder_model):
+@pytest.mark.parametrize("workers, faults", _ERROR_AT_CALL_1)
+def test_plain_model_error_consumes_no_restart(encoder_model, workers,
+                                               faults):
     """PR 3 isolation semantics survive supervision: an ordinary model
     exception fails its batch typed but is not a worker failure."""
-    schedule = FaultSchedule([Fault(1, "error")])
-    with _supervised(encoder_model, schedule) as service:
+    with _supervised(encoder_model, workers=workers, **faults) as service:
         service.infer((1, 2), timeout=30.0)
         with pytest.raises(RuntimeError, match="injected model error"):
             service.infer((3, 4), timeout=30.0)
@@ -164,8 +184,9 @@ def test_plain_model_error_consumes_no_restart(encoder_model):
 # --------------------------------------------------------------------------- #
 # lifecycle + policy
 # --------------------------------------------------------------------------- #
-def test_supervised_stop_fails_backlog_typed(encoder_model):
-    service = _supervised(encoder_model)
+@pytest.mark.parametrize("workers", [0, 1], ids=["thread", "process"])
+def test_supervised_stop_fails_backlog_typed(encoder_model, workers):
+    service = _supervised(encoder_model, workers=workers)
     service.start()
     pending = service.submit((2, 4, 6))
     service.stop()
@@ -177,6 +198,49 @@ def test_supervised_stop_fails_backlog_typed(encoder_model):
         assert result.shape[0] == 3
     with pytest.raises(ServiceClosedError):
         service.submit((1, 2))
+
+
+#: A 1 s hang at forward call 1 on either executor -- well inside the
+#: hang deadline the tests give it, so it models a slow forward.
+_SLOW_AT_CALL_1 = [
+    pytest.param(0, dict(schedule=FaultSchedule([Fault(1, "hang", 1.0)])),
+                 id="thread"),
+    pytest.param(1, dict(fault_spec=dict(seed=0, num_calls=2,
+                                         hang_rate=1.0, hang_seconds=1.0,
+                                         skip_first=1)),
+                 id="process"),
+]
+
+
+@pytest.mark.parametrize("workers, faults", _SLOW_AT_CALL_1)
+def test_stop_answers_the_batch_in_flight(encoder_model, workers, faults):
+    """stop() lands mid-forward: that batch is finished and answered, not
+    failed -- the graceful drain loses no answer the worker computes."""
+    service = _supervised(encoder_model, workers=workers,
+                          hang_timeout_s=20.0, **faults)
+    with service:
+        service.infer((1, 2), timeout=60.0)
+        pending = service.submit((2, 4, 6))
+        time.sleep(0.3)  # dispatched; the forward sleeps until ~1 s
+        service.stop()
+        result = pending.result(0.0)
+    assert np.array_equal(result, encoder_model.encode_ragged([[2, 4, 6]])[0])
+
+
+def test_snapshot_keys_match_across_executors(encoder_model):
+    """The daemon ``stats`` op and perfbench read one key set, whichever
+    executor serves."""
+    snaps = {}
+    for workers in (0, 1):
+        with _supervised(encoder_model, workers=workers) as service:
+            service.infer((1, 2, 3), timeout=60.0)
+            snaps[workers] = service.snapshot()
+    assert set(snaps[0]) == set(snaps[1])
+    for key in ("supervised", "restarts", "max_restarts", "terminal",
+                "workers", "live_workers", "degraded", "sharded"):
+        assert key in snaps[0], key
+    assert snaps[0]["sharded"] is False and snaps[1]["sharded"] is True
+    assert snaps[0]["supervised"] is True and snaps[1]["supervised"] is True
 
 
 def test_backoff_is_seeded_bounded_and_exponential():
