@@ -20,10 +20,11 @@ result or typed error across worker crashes/hangs/restarts) and bitwise
 identity to solo inference.
 
 PR 9 adds three process-sharding points to the trajectory: a **sharded
-chaos point** (SIGKILL/stall/corruption against N worker processes on one
-shared-memory snapshot, same hard assertions, failure messages carrying
-the replay seed), a **workers-vs-throughput curve** (recorded honestly
-for the box; the scaling assertion is gated on a multicore budget), and a
+chaos point** (the same chaos loadtest with SIGKILL/stall/corruption
+against N worker processes on one shared-memory snapshot, same hard
+assertions, failure messages carrying the replay seed), a
+**workers-vs-throughput curve** (recorded honestly for the box; the
+scaling assertion is gated on a multicore budget), and a
 **shared-snapshot RSS point** measuring that N attached workers cost O(1)
 -- not O(N) -- snapshot memory, with an explicit-copy control.
 
@@ -130,34 +131,6 @@ def run_cached_point(num_requests: int, seed: int) -> dict:
         "workload": f"{num_requests} requests, 50% duplicates, LRU cache on",
         **result.as_dict(),
     }
-
-
-def run_sharded_chaos_point(num_requests: int, seed: int,
-                            num_workers: int = 2) -> dict:
-    """The kill-grade robustness point: process-sharded serving under
-    SIGKILL/stall/corruption chaos on one shared-memory snapshot.
-
-    ``zero_drop`` and ``bitwise_identical_to_solo`` are hard assertions;
-    failure messages carry the fault-schedule seed so the exact schedule
-    replays from the recorded number alone.
-    """
-    from repro.serving.loadtest import run_sharded_chaos_loadtest
-
-    payload = run_sharded_chaos_loadtest(
-        num_requests=num_requests, num_workers=num_workers, batch_size=4,
-        max_wait_ms=0.5, kill_rate=0.10, stall_rate=0.04, corrupt_rate=0.04,
-        error_rate=0.02, stall_timeout_s=0.3, max_restarts=32,
-        deadline_ms=150.0, deadline_fraction=0.3, seed=seed)
-    fault_seed = payload["faults"]["seed"]
-    if not payload["zero_drop"]:
-        raise AssertionError(
-            f"sharded chaos loadtest dropped requests "
-            f"(fault seed {fault_seed}): {payload['outcomes']}")
-    if not payload["bitwise_identical_to_solo"]:
-        raise AssertionError(
-            f"sharded chaos responses diverged bitwise from solo "
-            f"inference (fault seed {fault_seed})")
-    return payload
 
 
 def run_workers_curve(num_requests: int, worker_counts, seed: int) -> dict:
@@ -305,29 +278,28 @@ def run_shared_rss_point(num_workers: int = 4, bundle_mb: int = 64) -> dict:
     return point
 
 
-def run_chaos_point(num_requests: int, seed: int) -> dict:
-    """The robustness point: zero-drop + bitwise under injected faults.
+def run_chaos_point(label: str, **kwargs) -> dict:
+    """One robustness point: the seeded chaos loadtest, hard-asserted.
 
-    Runs the seeded chaos loadtest (worker crashes, hangs, typed model
-    errors, per-request deadlines on a fraction of the set) against the
-    supervised service and records the guarantees as booleans alongside
-    the fault/restart accounting.  ``zero_drop`` and
-    ``bitwise_identical_to_solo`` are hard assertions here -- a bench run
-    that drops a request is a failure, not a data point.
+    ``kwargs`` go to :func:`repro.serving.loadtest.run_chaos_loadtest`
+    (the executor, the fault mix, per-request deadlines on a fraction of
+    the set).  ``zero_drop`` and ``bitwise_identical_to_solo`` are hard
+    assertions here -- a bench run that drops a request is a failure, not
+    a data point -- and the failure message carries the fault seed, so
+    the exact schedules replay from the recorded number alone.
     """
     from repro.serving.loadtest import run_chaos_loadtest
 
-    payload = run_chaos_loadtest(
-        num_requests=num_requests, batch_size=4, crash_rate=0.10,
-        hang_rate=0.10, error_rate=0.04, hang_seconds=0.5,
-        hang_timeout_s=0.12, deadline_ms=150.0, deadline_fraction=0.3,
-        seed=seed)
+    payload = run_chaos_loadtest(**kwargs)
+    fault_seed = payload["faults"]["seed"]
     if not payload["zero_drop"]:
         raise AssertionError(
-            f"chaos loadtest dropped requests: {payload['outcomes']}")
+            f"{label} loadtest dropped requests (fault seed {fault_seed}): "
+            f"{payload['outcomes']}")
     if not payload["bitwise_identical_to_solo"]:
         raise AssertionError(
-            "chaos responses diverged bitwise from solo inference")
+            f"{label} responses diverged bitwise from solo inference "
+            f"(fault seed {fault_seed})")
     return payload
 
 
@@ -373,22 +345,29 @@ def main(argv=None) -> int:
                             batch_sizes=tuple(args.batch_sizes),
                             max_wait_ms=args.max_wait_ms, seed=args.seed)
         payload["cached_point"] = run_cached_point(args.requests, args.seed)
-        payload["chaos_point"] = run_chaos_point(96, args.seed + 2)
-        chaos = payload["chaos_point"]
-        print(f"chaos point: {chaos['resolved']}/{chaos['workload']['requests']} "
-              f"resolved, {chaos['restarts']} restarts, "
-              f"outcomes {chaos['outcomes']}, zero_drop={chaos['zero_drop']}, "
-              f"bitwise={chaos['bitwise_identical_to_solo']}")
-        payload["sharded_chaos_point"] = run_sharded_chaos_point(
-            96, args.seed + 3)
-        sharded = payload["sharded_chaos_point"]
-        print(f"sharded chaos point (fault seed "
-              f"{sharded['faults']['seed']}): "
-              f"{sharded['resolved']}/{sharded['workload']['requests']} "
-              f"resolved over {sharded['workload']['workers']} workers, "
-              f"restarts by shard {sharded['restarts_by_shard']}, "
-              f"events {sharded['events']}, zero_drop={sharded['zero_drop']}, "
-              f"bitwise={sharded['bitwise_identical_to_solo']}")
+        # In-thread: worker crashes, hangs and typed model errors.
+        payload["chaos_point"] = run_chaos_point(
+            "chaos", num_requests=96, batch_size=4, crash_rate=0.10,
+            hang_rate=0.10, error_rate=0.04, hang_seconds=0.5,
+            hang_timeout_s=0.12, deadline_ms=150.0, deadline_fraction=0.3,
+            seed=args.seed + 2)
+        # Two shard processes: SIGKILL, heartbeat stalls, snapshot
+        # corruption and typed model errors.
+        payload["sharded_chaos_point"] = run_chaos_point(
+            "sharded chaos", num_requests=96, workers=2, batch_size=4,
+            max_wait_ms=0.5, crash_rate=0.0, hang_rate=0.0, error_rate=0.02,
+            kill_rate=0.10, stall_rate=0.04, corrupt_rate=0.04,
+            hang_timeout_s=10.0, stall_timeout_s=0.3, max_restarts=32,
+            deadline_ms=150.0, deadline_fraction=0.3, seed=args.seed + 3,
+            timeout=240.0)
+        for key in ("chaos_point", "sharded_chaos_point"):
+            chaos = payload[key]
+            print(f"{key} (fault seed {chaos['faults']['seed']}): "
+                  f"{chaos['resolved']}/{chaos['workload']['requests']} "
+                  f"resolved, restarts by shard {chaos['restarts_by_shard']}, "
+                  f"outcomes {chaos['outcomes']}, events {chaos['events']}, "
+                  f"zero_drop={chaos['zero_drop']}, "
+                  f"bitwise={chaos['bitwise_identical_to_solo']}")
         payload["workers_curve"] = run_workers_curve(
             96, (1, 2, 4), args.seed)
         for point in payload["workers_curve"]["points"]:

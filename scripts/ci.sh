@@ -66,8 +66,8 @@ python -m repro.cli loadtest --chaos --quick --batch-size 4 \
 echo "== sharded chaos smoke (SIGKILL/stall/corruption against 2 worker"
 echo "   processes; hard zero-drop + bitwise assertions) =="
 python -m repro.cli loadtest --chaos --quick --workers 2 --requests 64 \
-    --batch-size 4 --max-wait-ms 0.5 --kill-rate 0.15 --stall-rate 0.05 \
-    --corrupt-rate 0.05 --seed 2
+    --batch-size 4 --max-wait-ms 0.5 --crash-rate 0 --hang-rate 0 \
+    --kill-rate 0.15 --stall-rate 0.05 --corrupt-rate 0.05 --seed 2
 
 echo "== serving benchmark smoke (warn-only baseline diff) =="
 python -m benchmarks.bench_serving --quick

@@ -352,66 +352,50 @@ def _cmd_loadtest_chaos(args: argparse.Namespace) -> int:
     The zero-drop and bitwise-transparency guarantees are **hard**
     assertions (nonzero exit on violation); latency numbers are reported
     warn-only, since fault injection makes tail latency a function of the
-    schedule, not the serving layer.  With ``--workers N`` the chaos runs
-    against the process-sharded service and the fault mix gains the
-    process-grade kinds (SIGKILL, heartbeat stall, snapshot corruption).
+    schedule, not the serving layer.  ``--workers N`` runs the same chaos
+    against N shard processes, which can also fire the process-grade
+    kinds (SIGKILL, heartbeat stall, snapshot corruption).
     """
-    from repro.serving.loadtest import (
-        run_chaos_loadtest,
-        run_sharded_chaos_loadtest,
-    )
+    from repro.serving.loadtest import run_chaos_loadtest
 
+    if args.workers == 0:
+        for flag in ("kill_rate", "stall_rate", "corrupt_rate"):
+            if getattr(args, flag):
+                print(f"--{flag.replace('_', '-')} is a process-grade "
+                      "fault; it needs --workers N", file=sys.stderr)
+                return 2
     num_requests = min(args.requests, 96) if args.quick else args.requests
-    sharded = args.workers > 0
     try:
-        if sharded:
-            payload = run_sharded_chaos_loadtest(
-                num_requests=num_requests, num_workers=args.workers,
-                batch_size=args.batch_size, max_wait_ms=args.max_wait_ms,
-                kill_rate=args.kill_rate, stall_rate=args.stall_rate,
-                corrupt_rate=args.corrupt_rate, error_rate=args.error_rate,
-                hang_timeout_s=args.hang_timeout,
-                stall_timeout_s=args.stall_timeout,
-                max_restarts=args.max_restarts,
-                deadline_ms=args.deadline_ms,
-                deadline_fraction=args.deadline_fraction,
-                model_name=args.model, kernel=args.kernel, seed=args.seed)
-        else:
-            payload = run_chaos_loadtest(
-                num_requests=num_requests, batch_size=args.batch_size,
-                max_wait_ms=args.max_wait_ms, crash_rate=args.crash_rate,
-                hang_rate=args.hang_rate, error_rate=args.error_rate,
-                hang_seconds=args.hang_seconds,
-                hang_timeout_s=args.hang_timeout,
-                max_restarts=args.max_restarts, deadline_ms=args.deadline_ms,
-                deadline_fraction=args.deadline_fraction,
-                model_name=args.model, kernel=args.kernel, seed=args.seed)
+        payload = run_chaos_loadtest(
+            num_requests=num_requests, batch_size=args.batch_size,
+            max_wait_ms=args.max_wait_ms, workers=args.workers,
+            crash_rate=args.crash_rate, hang_rate=args.hang_rate,
+            error_rate=args.error_rate, kill_rate=args.kill_rate,
+            stall_rate=args.stall_rate, corrupt_rate=args.corrupt_rate,
+            hang_seconds=args.hang_seconds,
+            hang_timeout_s=args.hang_timeout,
+            stall_timeout_s=args.stall_timeout,
+            max_restarts=args.max_restarts, deadline_ms=args.deadline_ms,
+            deadline_fraction=args.deadline_fraction,
+            model_name=args.model, kernel=args.kernel, seed=args.seed)
     except (KeyError, TypeError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
-    seed = payload["faults"].get("seed", payload["workload"]["seed"])
+    seed = payload["faults"]["seed"]
     outcomes = payload["outcomes"]
     rows = [[name, count] for name, count in outcomes.items() if count]
-    flavour = (f"{args.workers} shard processes, " if sharded else "")
+    executor = (f"{args.workers} shard processes" if args.workers > 0
+                else "in-thread worker")
     print(format_table(
         ["outcome", "requests"], rows,
-        title=f"Chaos loadtest: {num_requests} requests, {flavour}"
-              f"{payload['restarts']} restarts "
-              f"(fault seed {seed})"))
-    if sharded:
-        bundle = payload.get("snapshot") or {}
-        print(f"fault rates: {payload['faults']}; events: "
-              f"{payload['events']}")
-        print(f"shards: {payload['live_workers']}/{args.workers} live, "
-              f"restarts by shard {payload['restarts_by_shard']}, "
-              f"degraded={payload['degraded'] is not None}, "
-              f"terminal={payload['terminal']}; snapshot "
-              f"v{bundle.get('version')} checksum {bundle.get('checksum')}")
-    else:
-        print(f"fault schedule: {payload['faults']['counts']} over "
-              f"{payload['faults']['forward_calls']} forward calls "
-              f"({payload['faults']['injected']} injected); "
-              f"events: {payload['events']}")
+        title=f"Chaos loadtest: {num_requests} requests, {executor}, "
+              f"{payload['restarts']} restarts (fault seed {seed})"))
+    by_shard = payload["restarts_by_shard"]
+    print(f"fault spec: {payload['faults']}; events: {payload['events']}")
+    print(f"shards: {payload['live_workers']}/{len(by_shard)} live, "
+          f"restarts by shard {by_shard}, "
+          f"degraded={payload['degraded'] is not None}, "
+          f"terminal={payload['terminal']}")
     print(f"latency (warn-only under faults): "
           f"p50={_zero_if_none(payload['p50_ms'])} ms "
           f"p99={_zero_if_none(payload['p99_ms'])} ms, "
@@ -818,15 +802,15 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--workers", type=int, default=0,
                           help="chaos: run against this many shard worker "
                                "processes on one shared-memory snapshot "
-                               "(0 = in-process supervised service); the "
-                               "fault mix becomes kill/stall/corrupt")
-    loadtest.add_argument("--kill-rate", type=float, default=0.06,
+                               "(0 = in-thread worker); needed by the "
+                               "kill/stall/corrupt rates")
+    loadtest.add_argument("--kill-rate", type=float, default=0.0,
                           help="sharded chaos: per-forward SIGKILL "
                                "probability")
-    loadtest.add_argument("--stall-rate", type=float, default=0.03,
+    loadtest.add_argument("--stall-rate", type=float, default=0.0,
                           help="sharded chaos: per-forward heartbeat-stall "
                                "probability")
-    loadtest.add_argument("--corrupt-rate", type=float, default=0.03,
+    loadtest.add_argument("--corrupt-rate", type=float, default=0.0,
                           help="sharded chaos: per-forward probability of "
                                "a snapshot-corruption drill (worker "
                                "verifies a flipped copy, refuses, exits "

@@ -24,8 +24,9 @@ Fault kinds (per model forward call):
     batch fails typed but the worker survives -- the PR 3 isolation
     semantics, distinct from a crash.
 
-Process-grade fault kinds (sharded serving workers,
-:mod:`repro.serving.shard`; in-thread services reject them):
+Process-grade fault kinds (shard worker processes,
+:mod:`repro.serving.shard`; a service built with a nonzero rate for one
+of them and no shards raises ``ValueError``):
 
 ``"kill"``
     The worker SIGKILLs itself mid-batch -- the hardest crash there is
@@ -42,6 +43,11 @@ Process-grade fault kinds (sharded serving workers,
     :class:`~repro.serving.snapshot.SnapshotCorruptionError` refusal
     path (the real shared segment is never touched -- the replacement
     worker attaches the pristine snapshot and recovers).
+
+A service takes its chaos as a ``fault_spec`` -- the keyword dict of
+:meth:`FaultSchedule.from_seed` -- and every worker it starts, thread or
+process, fires the schedule :meth:`FaultSchedule.for_spawn` draws for its
+slot and generation.
 
 New kinds are appended to :data:`FAULT_KINDS` so schedules drawn by
 :meth:`FaultSchedule.from_seed` with the original kinds are unchanged --
@@ -71,6 +77,10 @@ FAULT_KINDS = ("crash", "hang", "error", "kill", "stall", "corrupt")
 #: process (``repro.serving.shard``); :class:`FaultyModel` requires a
 #: matching process hook to fire one.
 PROCESS_FAULT_KINDS = ("kill", "stall", "corrupt")
+
+#: Multiplier separating per-slot fault-schedule seed streams; any
+#: constant larger than plausible restart counts works, prime by habit.
+_SLOT_SEED_STRIDE = 1009
 
 
 class InjectedWorkerCrash(WorkerCrashError):
@@ -157,6 +167,22 @@ class FaultSchedule:
                         seconds=hang_seconds if kind == "hang" else 0.0))
                     break
         return cls(faults, seed=seed)
+
+    @classmethod
+    def for_spawn(cls, spec: dict, slot: int,
+                  generation: int) -> "FaultSchedule":
+        """The schedule of executor ``slot``'s ``generation``-th worker.
+
+        ``spec`` is the keyword dict of :meth:`from_seed`; its ``seed`` is
+        offset per slot and per generation (1-based), so a replacement
+        worker does not replay the faults that killed its predecessor
+        while the whole run stays reproducible from the base seed.  The
+        first worker of slot 0 draws from the base seed itself.
+        """
+        kwargs = dict(spec)
+        base = int(kwargs.pop("seed", 0))
+        return cls.from_seed(base + _SLOT_SEED_STRIDE * slot + generation - 1,
+                             **kwargs)
 
     def fault_for(self, call_index: int) -> Optional[Fault]:
         return self._by_index.get(call_index)

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.serving.service import InferenceService, ServiceConfig, \
-    build_encoder_model, build_encoder_service
+    build_encoder_service
 
 #: Default synthetic workload: short-query lengths (inclusive bounds).
 DEFAULT_MIN_TOKENS = 8
@@ -220,10 +220,9 @@ def _drive_open_loop(service, requests, deadline_ms, with_deadline,
                      timeout: float):
     """Submit every request, wait for every outcome, classify each one.
 
-    The zero-drop bookkeeping shared by the thread-supervised and the
-    sharded chaos loadtests: every submitted request must resolve to a
-    result or a *typed* error; anything untyped is ``lost`` and a
-    never-resolving wait is ``hung``.
+    The zero-drop bookkeeping of the chaos loadtest: every submitted
+    request must resolve to a result or a *typed* error; anything untyped
+    is ``lost`` and a never-resolving wait is ``hung``.
     """
     from repro.serving.batcher import (
         DeadlineExceededError,
@@ -296,11 +295,16 @@ def run_chaos_loadtest(
     num_requests: int = 192,
     batch_size: int = 8,
     max_wait_ms: float = 1.0,
+    workers: int = 0,
     crash_rate: float = 0.08,
     hang_rate: float = 0.04,
     error_rate: float = 0.02,
+    kill_rate: float = 0.0,
+    stall_rate: float = 0.0,
+    corrupt_rate: float = 0.0,
     hang_seconds: float = 0.4,
     hang_timeout_s: float = 0.15,
+    stall_timeout_s: float = 0.3,
     max_restarts: int = 64,
     deadline_ms: Optional[float] = None,
     deadline_fraction: float = 0.25,
@@ -312,144 +316,45 @@ def run_chaos_loadtest(
 ) -> dict:
     """Open-loop load against a fault-injected, supervised service.
 
+    ``workers`` picks the executor as in :func:`~repro.serving.service.
+    build_encoder_service`: ``0`` is the in-thread worker, ``N > 0`` are
+    N shard processes, which can also fire the process-grade faults
+    (``kill_rate``, ``stall_rate``, ``corrupt_rate``).  Every worker the
+    service starts draws its own seeded schedule from one ``fault_spec``
+    (:meth:`~repro.serving.faults.FaultSchedule.for_spawn`); restart
+    jitter shares the seed, so the whole run is reproducible from its
+    arguments.
+
     Every submitted request must resolve -- to a result or to a *typed*
     error (``DeadlineExceededError`` / ``OverloadedError`` /
     ``QueueFullError`` / terminal ``SupervisorExhaustedError``).  A
     request that never resolves within ``timeout`` counts as **hung**, a
     request resolving to an untyped error counts as **lost**; the
     zero-drop guarantee is ``hung == lost == 0``, asserted by callers
-    (``loadtest --chaos``, ``bench_serving``, CI).  Responses served
-    across a worker restart are additionally checked **bitwise** against
-    solo inference on a clean (fault-free) model.
+    (``loadtest --chaos``, ``bench_serving``, CI).  Served responses are
+    additionally checked **bitwise** against solo inference on the
+    service's own model, which never fires a fault.
 
-    Faults follow a seeded :class:`~repro.serving.faults.FaultSchedule`
-    over the expected number of forward calls; restart jitter shares the
-    seed -- the whole run is reproducible from its arguments.
-    ``deadline_fraction`` of requests carry ``deadline_ms`` deadlines
-    (default: 8x the healthy forward estimate is supplied by the caller
-    or the deadline path is skipped when ``deadline_ms`` is None).
-    """
-    from repro.serving.faults import FaultSchedule, FaultyModel
-    from repro.serving.supervisor import RestartPolicy
-
-    requests = synthetic_requests(num_requests, seed=seed)
-    # Upper bound on forward calls: one per request (sequential worst
-    # case) plus retries from restarts; faults re-draw against this many
-    # call slots so crashes keep firing deep into the run.
-    expected_calls = 2 * num_requests + 16
-    schedule = FaultSchedule.from_seed(
-        seed, expected_calls, crash_rate=crash_rate, hang_rate=hang_rate,
-        error_rate=error_rate, hang_seconds=hang_seconds, skip_first=2)
-    model = build_encoder_model(model_name=model_name, kernel=kernel,
-                                seed=seed)
-    faulty = FaultyModel(model, schedule)
-    policy = RestartPolicy(max_restarts=max_restarts,
-                           backoff_initial_ms=5.0, backoff_max_ms=50.0,
-                           hang_timeout_s=hang_timeout_s,
-                           heartbeat_interval_s=0.02, seed=seed)
-    config = ServiceConfig(max_batch_size=batch_size,
-                           max_wait_ms=max_wait_ms,
-                           max_queue_depth=num_requests + 1,
-                           cache_size=0)
-    service = InferenceService(faulty, config, policy)
-
-    rng = np.random.default_rng(seed + 1)
-    with_deadline = (deadline_ms is not None
-                     and (rng.random(num_requests) < deadline_fraction))
-    start = time.perf_counter()
-    with service:
-        outcomes, results = _drive_open_loop(
-            service, requests, deadline_ms, with_deadline, timeout)
-        elapsed = max(time.perf_counter() - start, 1e-9)
-        snap = service.snapshot()
-
-    # Bitwise check: served responses (including any that crossed a
-    # restart) must equal solo inference on the clean model.
-    bitwise_identical, checked = _bitwise_against_solo(
-        model, requests, results, bitwise_sample)
-
-    resolved = sum(outcomes.values())
-    return {
-        "workload": {
-            "requests": num_requests,
-            "batch_size": batch_size,
-            "max_wait_ms": max_wait_ms,
-            "model": model_name,
-            "kernel": kernel,
-            "seed": seed,
-            "deadline_ms": deadline_ms,
-            "deadline_fraction": deadline_fraction if deadline_ms is not None
-            else 0.0,
-        },
-        "faults": {
-            **schedule.summary(),
-            "injected": len(faulty.injected),
-            "forward_calls": faulty.calls,
-        },
-        "policy": {
-            "max_restarts": max_restarts,
-            "hang_timeout_s": hang_timeout_s,
-        },
-        "outcomes": outcomes,
-        "resolved": resolved,
-        "unresolved": num_requests - resolved,
-        "restarts": snap["restarts"],
-        "events": snap["events"],
-        "terminal": snap["terminal"],
-        "elapsed_seconds": round(elapsed, 4),
-        "p50_ms": snap["p50_ms"],
-        "p99_ms": snap["p99_ms"],
-        "bitwise_identical_to_solo": bitwise_identical,
-        "bitwise_checked": checked,
-        "zero_drop": (outcomes["lost"] == 0 and outcomes["hung"] == 0
-                      and resolved == num_requests),
-    }
-
-
-def run_sharded_chaos_loadtest(
-    num_requests: int = 128,
-    num_workers: int = 2,
-    batch_size: int = 8,
-    max_wait_ms: float = 1.0,
-    kill_rate: float = 0.06,
-    stall_rate: float = 0.03,
-    corrupt_rate: float = 0.03,
-    error_rate: float = 0.02,
-    hang_timeout_s: float = 10.0,
-    stall_timeout_s: float = 0.3,
-    max_restarts: int = 32,
-    deadline_ms: Optional[float] = None,
-    deadline_fraction: float = 0.25,
-    model_name: str = "tiny-base",
-    kernel: str = "auto",
-    seed: int = 0,
-    timeout: float = 240.0,
-    bitwise_sample: int = 8,
-    mp_context: str = "fork",
-) -> dict:
-    """Open-loop load against a fault-injected **sharded** service.
-
-    The process-grade chaos: workers SIGKILL themselves mid-batch
-    (``kill``), silence their heartbeats (``stall``) and refuse
-    byte-flipped snapshot views (``corrupt``), plus ordinary per-batch
-    model errors (``error``).  The guarantees measured are the same as
-    :func:`run_chaos_loadtest` -- every request resolves typed
-    (``zero_drop``) and served responses are bitwise identical to solo
-    inference on a clean in-process model -- now across process
-    boundaries, shared-memory snapshot rebinds and SIGKILL-grade worker
-    replacement.  Reproducible from the recorded ``seed``: each spawn's
-    fault schedule is derived from it per shard and generation.
+    When ``deadline_ms`` is given, a seeded ``deadline_fraction`` of the
+    requests carry it; with ``deadline_ms=None`` no request has a
+    deadline.
     """
     from repro.serving.supervisor import RestartPolicy
 
     requests = synthetic_requests(num_requests, seed=seed)
     fault_spec = {
         "seed": seed,
+        # Upper bound on one worker's forward calls: one per request
+        # (sequential worst case) plus retries, so faults keep firing
+        # deep into the run.
         "num_calls": 2 * num_requests + 16,
+        "crash_rate": crash_rate,
+        "hang_rate": hang_rate,
+        "error_rate": error_rate,
         "kill_rate": kill_rate,
         "stall_rate": stall_rate,
         "corrupt_rate": corrupt_rate,
-        "error_rate": error_rate,
+        "hang_seconds": hang_seconds,
         "skip_first": 2,
     }
     policy = RestartPolicy(max_restarts=max_restarts,
@@ -463,8 +368,7 @@ def run_sharded_chaos_loadtest(
                            cache_size=0)
     service = build_encoder_service(
         model_name=model_name, kernel=kernel, seed=seed, config=config,
-        policy=policy, workers=num_workers, mp_context=mp_context,
-        fault_spec=fault_spec)
+        policy=policy, workers=workers, fault_spec=fault_spec)
 
     rng = np.random.default_rng(seed + 1)
     with_deadline = (deadline_ms is not None
@@ -476,8 +380,6 @@ def run_sharded_chaos_loadtest(
         elapsed = max(time.perf_counter() - start, 1e-9)
         snap = service.snapshot()
 
-    # The parent model never saw a fault (faults fire inside workers):
-    # it is the clean solo reference.
     bitwise_identical, checked = _bitwise_against_solo(
         service.model, requests, results, bitwise_sample)
 
@@ -485,18 +387,17 @@ def run_sharded_chaos_loadtest(
     return {
         "workload": {
             "requests": num_requests,
-            "workers": num_workers,
+            "workers": workers,
             "batch_size": batch_size,
             "max_wait_ms": max_wait_ms,
             "model": model_name,
             "kernel": kernel,
             "seed": seed,
-            "mp_context": mp_context,
             "deadline_ms": deadline_ms,
             "deadline_fraction": deadline_fraction if deadline_ms is not None
             else 0.0,
         },
-        "faults": dict(fault_spec),
+        "faults": fault_spec,
         "policy": {
             "max_restarts": max_restarts,
             "hang_timeout_s": hang_timeout_s,
@@ -511,7 +412,7 @@ def run_sharded_chaos_loadtest(
         "degraded": snap["degraded"],
         "events": snap["events"],
         "terminal": snap["terminal"],
-        "snapshot": snap.get("snapshot"),
+        "snapshot": snap["snapshot"],
         "elapsed_seconds": round(elapsed, 4),
         "p50_ms": snap["p50_ms"],
         "p99_ms": snap["p99_ms"],

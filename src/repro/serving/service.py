@@ -76,7 +76,6 @@ still queued fails with :class:`~repro.serving.batcher.ServiceClosedError`.
 
 from __future__ import annotations
 
-import inspect
 import queue
 import threading
 import time
@@ -93,6 +92,11 @@ from repro.serving.batcher import (
     WorkerCrashError,
 )
 from repro.serving.cache import LRUCache
+from repro.serving.faults import (
+    PROCESS_FAULT_KINDS,
+    FaultSchedule,
+    FaultyModel,
+)
 from repro.serving.stats import LatencyStats
 from repro.serving.supervisor import (
     RestartBudget,
@@ -115,8 +119,7 @@ class ServiceConfig:
     path), ``"graph"`` the autograd Tensor path.  ``fuse_qkv`` opts the
     plan engine into the fused Q/K/V projection GEMM (mathematically
     identical, not bit-guaranteed -- leave off when bit-transparency with
-    the graph path matters).  Models whose ``encode_ragged`` does not take
-    an ``engine`` argument (test doubles) are called without one.
+    the graph path matters).
 
     ``block_kv`` opts into chunked O(block)-memory attention for
     long-context serving (see :func:`repro.nn.functional.
@@ -151,28 +154,38 @@ class ThreadExecutor:
     """The in-thread executor: forwards on a worker thread of this process.
 
     Each :meth:`start` opens a new generation -- a fresh worker thread with
-    its own request and reply queues.  A thread cannot be stopped
-    mid-forward, so :meth:`kill` abandons it instead: it exits after its
-    current forward, and a late reply lands in a queue nobody reads.
+    its own request and reply queues and, under a ``fault_spec``, its own
+    :class:`~repro.serving.faults.FaultyModel` schedule.  A thread cannot
+    be stopped mid-forward, so :meth:`kill` abandons it instead: it exits
+    after its current forward, and a late reply lands in a queue nobody
+    reads.
 
     It holds the model, not the service: a reference back to the service
     would make a cycle that keeps a stopped service's model (and its
     plan's pooled buffers) alive until the cyclic garbage collector runs.
     """
 
-    def __init__(self, model, pad_id: int, engine_kwargs: dict) -> None:
+    def __init__(self, model, pad_id: int, engine_kwargs: dict,
+                 fault_spec: Optional[dict] = None) -> None:
         self._model = model
         self._pad_id = pad_id
         self._engine_kwargs = engine_kwargs
+        self._fault_spec = fault_spec
+        self._generation = 0
         self._requests: Optional[queue.SimpleQueue] = None
         self._replies: Optional[queue.SimpleQueue] = None
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> None:
+        self._generation += 1
+        model = self._model
+        if self._fault_spec is not None:
+            model = FaultyModel(model, FaultSchedule.for_spawn(
+                self._fault_spec, 0, self._generation))
         self._requests = queue.SimpleQueue()
         self._replies = queue.SimpleQueue()
         self._thread = threading.Thread(
-            target=self._run, args=(self._requests, self._replies),
+            target=self._run, args=(model, self._requests, self._replies),
             name="inference-worker", daemon=True)
         self._thread.start()
 
@@ -204,7 +217,7 @@ class ThreadExecutor:
         if thread is not None:
             thread.join(timeout)
 
-    def _run(self, requests: queue.SimpleQueue,
+    def _run(self, model, requests: queue.SimpleQueue,
              replies: queue.SimpleQueue) -> None:
         while True:
             keys = requests.get()
@@ -212,7 +225,7 @@ class ThreadExecutor:
                 return
             try:
                 # Looked up per call: tracers rebind ``encode_ragged``.
-                outputs = self._model.encode_ragged(
+                outputs = model.encode_ragged(
                     [list(key) for key in keys], pad_id=self._pad_id,
                     **self._engine_kwargs)
             except WorkerCrashError as exc:
@@ -261,11 +274,16 @@ class InferenceService:
         a :class:`~repro.serving.shard.ShardPool` runs them in its worker
         processes instead.  The model is then only published (its
         parameters) and used for submit-time validation.
+    fault_spec:
+        Seeded chaos (see :mod:`repro.serving.faults`): the keyword dict of
+        :meth:`~repro.serving.faults.FaultSchedule.from_seed`, drawn anew
+        for every worker either executor starts.  The process-grade kinds
+        need ``shards``.
     """
 
     def __init__(self, model, config: ServiceConfig = ServiceConfig(),
                  policy: Optional[RestartPolicy] = None,
-                 shards=None) -> None:
+                 shards=None, fault_spec: Optional[dict] = None) -> None:
         if config.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if config.engine not in ("plan", "graph"):
@@ -280,23 +298,21 @@ class InferenceService:
         # hung; None: no bound (see the module docstring's "hang" row).
         self._hang_timeout_s = (None if policy is None and shards is None
                                 else self.policy.hang_timeout_s)
-        # Only forward the engine selection to models that understand it;
-        # plain ``encode_ragged(sequences, pad_id)`` duck types keep
-        # working (they implicitly serve their only engine).
-        try:
-            parameters = inspect.signature(model.encode_ragged).parameters
-            accepts_engine = "engine" in parameters or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in parameters.values())
-            if accepts_engine:
-                self._engine_kwargs = {"engine": config.engine,
-                                       "fuse_qkv": config.fuse_qkv}
-                if config.block_kv is not None:
-                    self._engine_kwargs["block_kv"] = config.block_kv
-            else:
-                self._engine_kwargs = {}
-        except (TypeError, ValueError):
-            self._engine_kwargs = {}
+        self._engine_kwargs = {"engine": config.engine,
+                               "fuse_qkv": config.fuse_qkv}
+        if config.block_kv is not None:
+            self._engine_kwargs["block_kv"] = config.block_kv
+        if fault_spec is not None:
+            if shards is None:
+                for kind in PROCESS_FAULT_KINDS:
+                    if fault_spec.get(f"{kind}_rate", 0.0):
+                        raise ValueError(
+                            f"fault_spec {kind}_rate is a process-grade "
+                            "fault; it needs shard processes (workers > 0)")
+            # Draw once now: a bad key or rate fails here, not at start().
+            FaultSchedule.for_spawn(fault_spec, 0, 1)
+            fault_spec = dict(fault_spec)
+        self.fault_spec = fault_spec
         if hasattr(model, "eval"):
             model.eval()
         self.stats = LatencyStats()
@@ -334,7 +350,7 @@ class InferenceService:
         self.stats.start()
         if self._pool is None:
             executors = [ThreadExecutor(self.model, self.config.pad_id,
-                                        self._engine_kwargs)]
+                                        self._engine_kwargs, self.fault_spec)]
         else:
             executors = self._pool.open(self)
         self._slots = [
@@ -744,8 +760,9 @@ def build_encoder_service(
     thread of this process; ``N > 0`` runs them in N shard processes (a
     :class:`~repro.serving.shard.ShardPool`), each rebuilt from the same
     ``model_name``/``kernel``/``seed`` and bound to one shared-memory
-    snapshot of this model.  ``mp_context`` and ``fault_spec`` (the
-    seeded process-grade chaos schedule) apply to shard processes only.
+    snapshot of this model.  ``mp_context`` applies to shard processes
+    only; ``fault_spec`` (seeded chaos) drives either executor, see
+    :class:`InferenceService`.
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
@@ -756,9 +773,6 @@ def build_encoder_service(
         from repro.serving.shard import ShardPool
 
         shards = ShardPool(workers, model_name=model_name, kernel=kernel,
-                           seed=seed, mp_context=mp_context,
-                           fault_spec=fault_spec)
-    elif fault_spec is not None:
-        raise ValueError("fault_spec drives shard processes; it needs "
-                         "workers > 0")
-    return InferenceService(model, config, policy, shards=shards)
+                           seed=seed, mp_context=mp_context)
+    return InferenceService(model, config, policy, shards=shards,
+                            fault_spec=fault_spec)

@@ -34,11 +34,15 @@ What :class:`ShardExecutor` adds to the slot interface:
   ``worker_crash``;
 * **kill** -- a hung or stalled worker is SIGKILLed, not abandoned.
 
-Chaos coverage injects the process-grade fault kinds
-(:data:`~repro.serving.faults.PROCESS_FAULT_KINDS`) inside the worker:
-``kill`` SIGKILLs it mid-batch, ``stall`` silences its heartbeat thread,
-``corrupt`` verifies a deliberately byte-flipped *copy* of the snapshot
-(the shared segment itself stays pristine for the other shards).
+Chaos comes from the service's ``fault_spec``: each spawn draws its own
+:meth:`~repro.serving.faults.FaultSchedule.for_spawn` schedule (per shard
+and generation, the rule the in-thread executor follows too) and fires
+it inside the worker.  Besides crash, hang and error faults, a worker
+process can fire the process-grade kinds
+(:data:`~repro.serving.faults.PROCESS_FAULT_KINDS`): ``kill`` SIGKILLs it
+mid-batch, ``stall`` silences its heartbeat thread, ``corrupt`` verifies a
+deliberately byte-flipped *copy* of the snapshot (the shared segment
+itself stays pristine for the other shards).
 """
 
 from __future__ import annotations
@@ -76,10 +80,6 @@ EXIT_CRASH = 3
 
 #: Exit code a worker uses after refusing a corrupt snapshot view.
 EXIT_CORRUPT = 13
-
-#: Multiplier separating per-shard fault-schedule seed streams; any
-#: constant larger than plausible respawn counts works, prime by habit.
-_SHARD_SEED_STRIDE = 1009
 
 
 # --------------------------------------------------------------------------- #
@@ -177,19 +177,11 @@ class ShardPool:
     publishes its parameters (once per service start) and the parent never
     runs a forward.  Every worker rebuilds its model from
     ``model_name``/``kernel``/``seed`` and binds it to the snapshot.
-
-    ``fault_spec`` (chaos only) is the keyword dict for
-    :meth:`~repro.serving.faults.FaultSchedule.from_seed`; each spawn
-    draws its own schedule from a seed derived per shard and generation,
-    so respawned workers do not replay the exact faults that killed
-    their predecessors while the whole run stays reproducible from the
-    base seed.
     """
 
     def __init__(self, workers: int, model_name: str = "tiny-base",
                  kernel: str = "auto", seed: int = 0,
-                 mp_context: str = "fork",
-                 fault_spec: Optional[dict] = None) -> None:
+                 mp_context: str = "fork") -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         import multiprocessing
@@ -198,7 +190,6 @@ class ShardPool:
         self._model = {"model_name": model_name, "kernel": kernel,
                        "seed": seed}
         self._mp = multiprocessing.get_context(mp_context)
-        self._fault_spec = dict(fault_spec) if fault_spec else None
         self._bundle: Optional[SnapshotBundle] = None
         # Outlives close(): ``run_daemon`` snapshots after stop().
         self._info: Optional[dict] = None
@@ -215,7 +206,7 @@ class ShardPool:
             "heartbeat_interval_s": service.policy.heartbeat_interval_s,
         }
         return [ShardExecutor(index, spec, self._mp, service.policy,
-                              self._fault_spec)
+                              service.fault_spec)
                 for index in range(self.workers)]
 
     def describe(self) -> Optional[dict]:
@@ -245,22 +236,16 @@ class ShardExecutor:
         self._batch_id = 0
         self._last_beat = time.perf_counter()
 
-    def _draw_schedule(self) -> Optional[FaultSchedule]:
-        if self._fault_spec is None:
-            return None
-        spec = dict(self._fault_spec)
-        base = int(spec.pop("seed", 0))
-        derived = (base + _SHARD_SEED_STRIDE * self.index
-                   + self._generation - 1)
-        return FaultSchedule.from_seed(derived, **spec)
-
     def start(self) -> None:
         self._generation += 1
         parent_cmd, child_cmd = self._mp.Pipe(duplex=True)
         parent_beat, child_beat = self._mp.Pipe(duplex=False)
+        schedule = (None if self._fault_spec is None
+                    else FaultSchedule.for_spawn(self._fault_spec, self.index,
+                                                 self._generation))
         process = self._mp.Process(
             target=_worker_main,
-            args=(self._spec, self._draw_schedule(), child_cmd, child_beat),
+            args=(self._spec, schedule, child_cmd, child_beat),
             name=f"shard-{self.index}-gen{self._generation}", daemon=True)
         process.start()
         child_cmd.close()

@@ -46,12 +46,23 @@ def test_changing_one_rate_never_moves_another_kinds_faults():
 
 
 #: ``FaultSchedule.from_seed(...).summary()["faults"]`` for the two chaos
-#: settings CI runs (``scripts/ci.sh``), as (call_index, kind) pairs.  The
-#: in-thread smoke is ``loadtest --chaos --quick --seed 2`` (96 requests ->
-#: 208 call slots, default crash/hang/error rates); the sharded smoke is
-#: ``--requests 64 --kill-rate 0.15 --stall-rate 0.05 --corrupt-rate 0.05
-#: --seed 2`` (144 call slots, default error rate).  Removing a zero-rate
-#: kind from FAULT_KINDS must leave both unchanged.
+#: smokes of ``scripts/ci.sh``, as (call_index, kind) pairs -- the
+#: schedule of each run's first worker (slot 0, generation 1).  The
+#: in-thread smoke is
+#:
+#:     python -m repro.cli loadtest --chaos --quick --batch-size 4 \
+#:         --deadline-ms 150 --deadline-fraction 0.3 --seed 2
+#:
+#: (96 requests -> 208 call slots, default crash/hang/error rates); the
+#: sharded smoke is
+#:
+#:     python -m repro.cli loadtest --chaos --quick --workers 2 \
+#:         --requests 64 --batch-size 4 --max-wait-ms 0.5 --crash-rate 0 \
+#:         --hang-rate 0 --kill-rate 0.15 --stall-rate 0.05 \
+#:         --corrupt-rate 0.05 --seed 2
+#:
+#: (144 call slots, default error rate).  Removing a zero-rate kind from
+#: FAULT_KINDS must leave both unchanged.
 CI_CHAOS_SCHEDULE = [
     (3, "hang"), (7, "crash"), (28, "hang"), (29, "hang"), (48, "hang"),
     (49, "crash"), (63, "hang"), (64, "crash"), (66, "hang"), (80, "crash"),
@@ -88,6 +99,24 @@ def test_ci_chaos_schedules_are_pinned():
     assert sharded == [
         {"call_index": index, "kind": kind, "seconds": 0.0}
         for index, kind in CI_SHARDED_CHAOS_SCHEDULE]
+
+
+def test_for_spawn_offsets_the_seed_per_slot_and_generation():
+    spec = dict(seed=2, num_calls=200, crash_rate=0.1, hang_rate=0.05,
+                skip_first=2)
+    first = FaultSchedule.for_spawn(spec, 0, 1)
+    # The first worker of slot 0 keeps the base seed ...
+    assert _schedule_fingerprint(first) == _schedule_fingerprint(
+        FaultSchedule.from_seed(2, 200, crash_rate=0.1, hang_rate=0.05,
+                                skip_first=2))
+    assert first.seed == 2
+    # ... every other (slot, generation) draws its own, reproducibly.
+    spawns = {(slot, gen): _schedule_fingerprint(
+                  FaultSchedule.for_spawn(spec, slot, gen))
+              for slot in range(2) for gen in range(1, 4)}
+    assert len(set(map(tuple, spawns.values()))) == len(spawns)
+    assert spawns[(1, 2)] == _schedule_fingerprint(
+        FaultSchedule.for_spawn(spec, 1, 2))
 
 
 def test_skip_first_leaves_warmup_fault_free():

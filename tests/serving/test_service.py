@@ -261,10 +261,11 @@ def test_worker_failure_fails_requests_but_not_service(encoder_service_model):
         def eval(self):
             return self
 
-        def encode_ragged(self, sequences, pad_id=0):
+        def encode_ragged(self, sequences, pad_id=0, **kwargs):
             if self.explode:
                 raise RuntimeError("model exploded")
-            return self.inner.encode_ragged(sequences, pad_id=pad_id)
+            return self.inner.encode_ragged(sequences, pad_id=pad_id,
+                                            **kwargs)
 
     model = ExplodingModel(encoder_service_model)
     with InferenceService(model, ServiceConfig(max_batch_size=4,

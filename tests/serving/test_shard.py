@@ -29,7 +29,7 @@ from repro.serving import (
     SupervisorExhaustedError,
     build_encoder_service,
 )
-from repro.serving.loadtest import run_sharded_chaos_loadtest
+from repro.serving.loadtest import run_chaos_loadtest
 
 #: Millisecond-scale restart cycles; generous hang timeout so only the
 #: faults we inject (not scheduler noise) drive supervision decisions.
@@ -256,10 +256,10 @@ def test_stop_preserves_final_accounting_and_restart_works():
 
 
 def test_sharded_chaos_loadtest_zero_drop_and_bitwise():
-    payload = run_sharded_chaos_loadtest(
-        num_requests=32, num_workers=2, batch_size=4, max_wait_ms=0.5,
-        kill_rate=0.15, stall_rate=0.0, corrupt_rate=0.0, error_rate=0.0,
-        max_restarts=16, seed=2, timeout=180.0)
+    payload = run_chaos_loadtest(
+        num_requests=32, workers=2, batch_size=4, max_wait_ms=0.5,
+        crash_rate=0.0, hang_rate=0.0, error_rate=0.0, kill_rate=0.15,
+        hang_timeout_s=10.0, max_restarts=16, seed=2, timeout=180.0)
     assert payload["zero_drop"], payload["outcomes"]
     assert payload["bitwise_identical_to_solo"]
     assert payload["bitwise_checked"] > 0

@@ -36,16 +36,14 @@ def encoder_model():
     return build_encoder_model()
 
 
-#: The same plain model error at forward call 1 on either executor: an
-#: in-process schedule for the worker thread (``workers=0``), the seeded
-#: spec a shard process draws its schedule from (``workers=1``).
-_ERROR_AT_CALL_1 = [
-    pytest.param(0, dict(schedule=FaultSchedule([Fault(1, "error")])),
-                 id="thread"),
-    pytest.param(1, dict(fault_spec=dict(seed=0, num_calls=2,
-                                         error_rate=1.0, skip_first=1)),
-                 id="process"),
-]
+#: Run a test on the worker thread (``workers=0``) and on one shard
+#: process (``workers=1``).
+_EXECUTORS = pytest.mark.parametrize("workers", [0, 1],
+                                     ids=["thread", "process"])
+
+#: A plain model error at forward call 1: the first worker of slot 0
+#: draws its schedule from the spec's own seed, on either executor.
+_ERROR_AT_CALL_1 = dict(seed=0, num_calls=2, error_rate=1.0, skip_first=1)
 
 
 def _supervised(model, schedule=None, *, workers=0, fault_spec=None,
@@ -66,7 +64,8 @@ def _supervised(model, schedule=None, *, workers=0, fault_spec=None,
                                      workers=workers, fault_spec=fault_spec)
     if schedule is not None:
         model = FaultyModel(model, schedule)
-    return SupervisedService(model, config, RestartPolicy(**policy_kwargs))
+    return SupervisedService(model, config, RestartPolicy(**policy_kwargs),
+                             fault_spec=fault_spec)
 
 
 # --------------------------------------------------------------------------- #
@@ -166,12 +165,12 @@ def test_restart_budget_exhaustion_fails_typed(encoder_model):
     assert snap["events"]["terminal"] == 1
 
 
-@pytest.mark.parametrize("workers, faults", _ERROR_AT_CALL_1)
-def test_plain_model_error_consumes_no_restart(encoder_model, workers,
-                                               faults):
+@_EXECUTORS
+def test_plain_model_error_consumes_no_restart(encoder_model, workers):
     """PR 3 isolation semantics survive supervision: an ordinary model
     exception fails its batch typed but is not a worker failure."""
-    with _supervised(encoder_model, workers=workers, **faults) as service:
+    with _supervised(encoder_model, workers=workers,
+                     fault_spec=_ERROR_AT_CALL_1) as service:
         service.infer((1, 2), timeout=30.0)
         with pytest.raises(RuntimeError, match="injected model error"):
             service.infer((3, 4), timeout=30.0)
@@ -184,7 +183,7 @@ def test_plain_model_error_consumes_no_restart(encoder_model, workers,
 # --------------------------------------------------------------------------- #
 # lifecycle + policy
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("workers", [0, 1], ids=["thread", "process"])
+@_EXECUTORS
 def test_supervised_stop_fails_backlog_typed(encoder_model, workers):
     service = _supervised(encoder_model, workers=workers)
     service.start()
@@ -200,24 +199,18 @@ def test_supervised_stop_fails_backlog_typed(encoder_model, workers):
         service.submit((1, 2))
 
 
-#: A 1 s hang at forward call 1 on either executor -- well inside the
-#: hang deadline the tests give it, so it models a slow forward.
-_SLOW_AT_CALL_1 = [
-    pytest.param(0, dict(schedule=FaultSchedule([Fault(1, "hang", 1.0)])),
-                 id="thread"),
-    pytest.param(1, dict(fault_spec=dict(seed=0, num_calls=2,
-                                         hang_rate=1.0, hang_seconds=1.0,
-                                         skip_first=1)),
-                 id="process"),
-]
+#: A 1 s hang at forward call 1 -- well inside the hang deadline the
+#: tests give it, so it models a slow forward.
+_SLOW_AT_CALL_1 = dict(seed=0, num_calls=2, hang_rate=1.0, hang_seconds=1.0,
+                       skip_first=1)
 
 
-@pytest.mark.parametrize("workers, faults", _SLOW_AT_CALL_1)
-def test_stop_answers_the_batch_in_flight(encoder_model, workers, faults):
+@_EXECUTORS
+def test_stop_answers_the_batch_in_flight(encoder_model, workers):
     """stop() lands mid-forward: that batch is finished and answered, not
     failed -- the graceful drain loses no answer the worker computes."""
     service = _supervised(encoder_model, workers=workers,
-                          hang_timeout_s=20.0, **faults)
+                          hang_timeout_s=20.0, fault_spec=_SLOW_AT_CALL_1)
     with service:
         service.infer((1, 2), timeout=60.0)
         pending = service.submit((2, 4, 6))
@@ -241,6 +234,20 @@ def test_snapshot_keys_match_across_executors(encoder_model):
         assert key in snaps[0], key
     assert snaps[0]["sharded"] is False and snaps[1]["sharded"] is True
     assert snaps[0]["supervised"] is True and snaps[1]["supervised"] is True
+
+
+def test_fault_spec_is_validated_when_the_service_is_built(encoder_model):
+    """Process-grade kinds need shard processes; a bad rate fails at
+    construction, not at start()."""
+    with pytest.raises(ValueError, match="kill_rate"):
+        SupervisedService(encoder_model, fault_spec=dict(
+            seed=0, num_calls=4, kill_rate=0.5))
+    with pytest.raises(ValueError, match="stall_rate"):
+        build_encoder_service(workers=0, fault_spec=dict(
+            seed=0, num_calls=4, stall_rate=0.1))
+    with pytest.raises(ValueError, match="crash_rate"):
+        SupervisedService(encoder_model, fault_spec=dict(
+            seed=0, num_calls=4, crash_rate=1.5))
 
 
 def test_backoff_is_seeded_bounded_and_exponential():
@@ -281,4 +288,25 @@ def test_chaos_run_is_reproducible_by_seed(encoder_model):
     second = run_chaos_loadtest(**kwargs)
     assert first["zero_drop"] and second["zero_drop"]
     assert first["outcomes"] == second["outcomes"]
-    assert first["faults"]["faults"] == second["faults"]["faults"]
+    assert first["faults"] == second["faults"]
+    assert first["restarts"] == second["restarts"]
+
+
+@_EXECUTORS
+def test_chaos_loadtest_zero_drop_and_bitwise(workers):
+    """One fault spec, either executor: crashes, hangs and model errors
+    all fire, every request resolves typed and the served bits are the
+    solo bits."""
+    from repro.serving.loadtest import run_chaos_loadtest
+
+    payload = run_chaos_loadtest(
+        num_requests=48, batch_size=4, workers=workers, crash_rate=0.15,
+        hang_rate=0.15, error_rate=0.1, hang_seconds=0.3,
+        hang_timeout_s=0.1, max_restarts=32, seed=7)
+    assert payload["zero_drop"], payload["outcomes"]
+    assert payload["bitwise_identical_to_solo"]
+    assert payload["bitwise_checked"] > 0
+    assert payload["events"].get("worker_crash", 0) >= 1, payload["events"]
+    assert payload["events"].get("worker_hang", 0) >= 1, payload["events"]
+    assert payload["outcomes"]["injected_error"] >= 1, payload["outcomes"]
+    assert payload["terminal"] is None

@@ -298,6 +298,11 @@ class TestShardedCommands:
         assert main(["loadtest", "--workers", "2", "--requests", "8"]) == 2
         assert "requires --chaos" in capsys.readouterr().err
 
+    def test_chaos_process_fault_rate_needs_workers(self, capsys):
+        assert main(["loadtest", "--chaos", "--quick", "--requests", "8",
+                     "--kill-rate", "0.1"]) == 2
+        assert "--kill-rate" in capsys.readouterr().err
+
     def test_sharded_chaos_loadtest_cli(self, capsys):
         assert main(["loadtest", "--chaos", "--quick", "--workers", "2",
                      "--requests", "32", "--batch-size", "4",
