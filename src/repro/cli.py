@@ -358,12 +358,6 @@ def _cmd_loadtest_chaos(args: argparse.Namespace) -> int:
     """
     from repro.serving.loadtest import run_chaos_loadtest
 
-    if args.workers == 0:
-        for flag in ("kill_rate", "stall_rate", "corrupt_rate"):
-            if getattr(args, flag):
-                print(f"--{flag.replace('_', '-')} is a process-grade "
-                      "fault; it needs --workers N", file=sys.stderr)
-                return 2
     num_requests = min(args.requests, 96) if args.quick else args.requests
     try:
         payload = run_chaos_loadtest(
@@ -392,10 +386,13 @@ def _cmd_loadtest_chaos(args: argparse.Namespace) -> int:
               f"{payload['restarts']} restarts (fault seed {seed})"))
     by_shard = payload["restarts_by_shard"]
     print(f"fault spec: {payload['faults']}; events: {payload['events']}")
+    bundle = payload["snapshot"]
+    snapshot = (f"; snapshot v{bundle['version']} checksum "
+                f"{bundle['checksum']}" if bundle is not None else "")
     print(f"shards: {payload['live_workers']}/{len(by_shard)} live, "
           f"restarts by shard {by_shard}, "
           f"degraded={payload['degraded'] is not None}, "
-          f"terminal={payload['terminal']}")
+          f"terminal={payload['terminal']}{snapshot}")
     print(f"latency (warn-only under faults): "
           f"p50={_zero_if_none(payload['p50_ms'])} ms "
           f"p99={_zero_if_none(payload['p99_ms'])} ms, "

@@ -307,8 +307,9 @@ class InferenceService:
                 for kind in PROCESS_FAULT_KINDS:
                     if fault_spec.get(f"{kind}_rate", 0.0):
                         raise ValueError(
-                            f"fault_spec {kind}_rate is a process-grade "
-                            "fault; it needs shard processes (workers > 0)")
+                            f"{kind}_rate (--{kind}-rate) is a process-grade "
+                            "fault; it needs shard processes (workers > 0, "
+                            "--workers N)")
             # Draw once now: a bad key or rate fails here, not at start().
             FaultSchedule.for_spawn(fault_spec, 0, 1)
             fault_spec = dict(fault_spec)
